@@ -16,9 +16,7 @@ from .closed_form import (
     gamma_sequence,
 )
 from .equivalence import (
-    EquivalenceReport,
     PositivityRequiredError,
-    check_equivalence,
     expand_lgm_1_1,
     expand_lgm_1_2,
     lgm_1_2_sum,

@@ -62,6 +62,12 @@ def weak_composition_list(total: int, parts: int) -> tuple[tuple[int, ...], ...]
     return tuple(weak_compositions(total, parts))
 
 
+def weak_composition_list_any(max_total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Weak compositions into `parts` parts of every total from 0 to max_total."""
+    for total in range(max_total + 1):
+        yield from weak_composition_list(total, parts)
+
+
 @lru_cache(maxsize=None)
 def composition_list(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(compositions(total, parts))

@@ -8,10 +8,6 @@ positive parameters; zero parameters are rejected rather than guessed.
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import dataclass, field
-
 from .combinat import binom, weak_composition_list
 from .lincomb import LinComb
 from .restricted import expand_res_1_1, expand_res_1_2
@@ -228,82 +224,18 @@ def expand_lgm_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinCom
 
 
 # ---------------------------------------------------------------------------
-# equivalence sweeps
+# per-point checks of the appendixA and appendixB sweeps in `verify`
 
 
-@dataclass
-class EquivalenceReport:
-    pair: str
-    grid: str
-    checked: int
-    failures: list[str] = field(default_factory=list)
-    elapsed_ms: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json_obj(self) -> dict:
-        return {
-            "pair": self.pair,
-            "grid": self.grid,
-            "checked": self.checked,
-            "failures": list(self.failures),
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+def check_lgm_1_1(point) -> str | None:
+    """expand_lgm_1_1 against expand_res_1_1 at (a, r, b, s)."""
+    if expand_lgm_1_1(*point) != expand_res_1_1(*point):
+        return f"appendixA mismatch at (a,r,b,s)={point}"
+    return None
 
 
-def _grid_a(max_total: int, max_param: int | None):
-    cap = max_total if max_param is None else min(max_total, max_param)
-    for a in range(1, cap + 1):
-        for r in range(1, cap + 1):
-            for b in range(1, cap + 1):
-                for s in range(1, cap + 1):
-                    if a + r + b + s <= max_total:
-                        yield (a, r, b, s)
-
-
-def _grid_b(max_total: int, max_param: int | None):
-    cap = max_total if max_param is None else min(max_total, max_param)
-    for a in range(1, cap + 1):
-        for r in range(1, cap + 1):
-            for b1 in range(1, cap + 1):
-                for s1 in range(1, cap + 1):
-                    for b2 in range(1, cap + 1):
-                        for s2 in range(1, cap + 1):
-                            if a + r + b1 + s1 + b2 + s2 <= max_total:
-                                yield (a, r, b1, s1, b2, s2)
-
-
-def check_equivalence(pair: str, max_total: int, max_param: int | None = None) -> EquivalenceReport:
-    """Exact-equality sweep of an alternative formula against its twin.
-
-    Pair "A" compares expand_lgm_1_1 with expand_res_1_1; pair "B" compares
-    expand_lgm_1_2 with expand_res_1_2.  Mismatches become report entries,
-    never exceptions.
-    """
-    if pair not in ("A", "B"):
-        raise ValueError(f"pair must be 'A' or 'B', got {pair!r}")
-    start = time.perf_counter()
-    failures: list[str] = []
-    checked = 0
-    if pair == "A":
-        points = _grid_a(max_total, max_param)
-        for point in points:
-            checked += 1
-            if expand_lgm_1_1(*point) != expand_res_1_1(*point):
-                failures.append(f"(a,r,b,s)={point}")
-    else:
-        points = _grid_b(max_total, max_param)
-        for point in points:
-            checked += 1
-            if expand_lgm_1_2(*point) != expand_res_1_2(*point):
-                failures.append(f"(a,r,b1,s1,b2,s2)={point}")
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    grid = f"positive parameters with total word length <= {max_total}" + (
-        f", each <= {max_param}" if max_param is not None else ""
-    )
-    return EquivalenceReport(pair=pair, grid=grid, checked=checked, failures=failures, elapsed_ms=elapsed_ms)
+def check_lgm_1_2(point) -> str | None:
+    """expand_lgm_1_2 against expand_res_1_2 at (a, r, b1, s1, b2, s2)."""
+    if expand_lgm_1_2(*point) != expand_res_1_2(*point):
+        return f"appendixB mismatch at (a,r,b1,s1,b2,s2)={point}"
+    return None

@@ -1,10 +1,12 @@
 """Exhaustive verification sweeps used by the CLI and the acceptance tests.
 
-Every suite compares a closed-form expansion against an independent oracle
-on an exhaustive grid bounded by total word length, and reports failures as
-data rather than raising.  `pattern_cases_*` give the finer oracles that
-split a product by the y-interleaving case, used to pin down each case of
-the two-factor restricted expansions separately.
+Every sweep checks an expansion against an independent oracle, or a property
+of the shuffle product, at each point of an exhaustive grid bounded by total
+word length, and reports failures as data rather than raising.  `SWEEPS`
+registers each sweep once under its name and `run_suite` runs any of them.
+`pattern_cases_*` give the finer oracles that split a product by the
+y-interleaving case, used to pin down each case of the two-factor restricted
+expansions separately.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, Iterable
 
 from . import equivalence
 from .closed_form import (
@@ -27,7 +30,7 @@ from .closed_form import (
     expand_1_s,
     expand_general,
 )
-from .combinat import binom, weak_composition_list
+from .combinat import binom, weak_composition_list, weak_composition_list_any
 from .lincomb import LinComb
 from .restricted import (
     expand_nfold,
@@ -45,7 +48,20 @@ ENV_WEIGHT_CAP = "MZV_MAX_WEIGHT"
 
 def weight_cap() -> int:
     raw = os.environ.get(ENV_WEIGHT_CAP, "")
-    return int(raw) if raw else DEFAULT_WEIGHT_CAP
+    if not raw:
+        return DEFAULT_WEIGHT_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_WEIGHT_CAP} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"{ENV_WEIGHT_CAP} must be at least 1, got {cap}")
+    return cap
+
+
+def clamp_jobs(jobs: int) -> int:
+    """The number of worker processes to start: `jobs` limited to [1, cpu count]."""
+    return max(1, min(jobs, os.cpu_count() or 1))
 
 
 @dataclass
@@ -89,103 +105,98 @@ def words_of_length(length: int):
         yield "".join(bits)
 
 
-def _points_general(max_total: int):
-    for ea in h1_exponent_forms(max_total - 1):
-        la = sum(ea) + len(ea)
-        for eb in h1_exponent_forms(max_total - la):
-            yield (ea, eb)
+def run_tuples(bound: int, runs: int, min_x: int = 0):
+    """Flat tuples (a1, r1, ..., a_runs, r_runs), one per word
+    x^a1 y^r1 ... x^a_runs y^r_runs with every a_i >= min_x, every r_i >= 1
+    and total length <= bound."""
+    if runs == 0:
+        yield ()
+        return
+    for a in range(min_x, bound + 1):
+        for r in range(1, bound - a + 1):
+            for rest in run_tuples(bound - a - r, runs - 1, min_x):
+                yield (a, r) + rest
 
 
-def _points_res11(max_total: int):
-    for r in range(1, max_total):
-        for s in range(1, max_total - r + 1):
-            for a in range(0, max_total - r - s + 1):
-                for b in range(0, max_total - r - s - a + 1):
-                    yield (a, r, b, s)
+def word_tuples(bound: int, count: int, least: tuple[int, str] = (0, "")):
+    """Tuples of `count` words over {x, y}, nondecreasing in (length, word)
+    order, with total length <= bound: each multiset of words once."""
+    if count == 0:
+        yield ()
+        return
+    for length in range(least[0], bound // count + 1):
+        for word in words_of_length(length):
+            if (length, word) >= least:
+                for rest in word_tuples(bound - length, count - 1, (length, word)):
+                    yield (word,) + rest
 
 
-def _points_res12(max_total: int):
-    for r in range(1, max_total - 1):
-        for s1 in range(1, max_total - r):
-            for s2 in range(1, max_total - r - s1 + 1):
-                rem = max_total - r - s1 - s2
-                for a in range(0, rem + 1):
-                    for b1 in range(0, rem - a + 1):
-                        for b2 in range(0, rem - a - b1 + 1):
-                            yield (a, r, b1, s1, b2, s2)
+def _general_points(bound: int):
+    """Points (expansion name, its arguments, exponent forms of both factors)
+    of the general formula: every pair of words ending in y."""
+    for ea in h1_exponent_forms(bound - 1):
+        for eb in h1_exponent_forms(bound - sum(ea) - len(ea)):
+            yield "expand_general", (ea, eb), ea, eb
 
 
-def _points_res22(max_total: int):
-    for r1 in range(1, max_total - 2):
-        for r2 in range(1, max_total - r1 - 1):
-            for s1 in range(1, max_total - r1 - r2):
-                for s2 in range(1, max_total - r1 - r2 - s1 + 1):
-                    rem = max_total - r1 - r2 - s1 - s2
-                    for a1 in range(0, rem + 1):
-                        for a2 in range(0, rem - a1 + 1):
-                            for b1 in range(0, rem - a1 - a2 + 1):
-                                for b2 in range(0, rem - a1 - a2 - b1 + 1):
-                                    yield (a1, r1, a2, r2, b1, s1, b2, s2)
+def _specialization_points(bound: int):
+    """As _general_points, for Euler, 1 x s and the five transcribed small cases."""
+    for a in range(bound - 1):
+        for b in range(bound - 1 - a):
+            yield "expand_euler", (a, b), (a,), (b,)
+    for s in range(1, bound - 1):
+        for a in range(bound - 1 - s):
+            for eb in weak_composition_list_any(bound - 1 - s - a, s):
+                yield "expand_1_s", (a, eb), (a,), eb
+    for r, s in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
+        for exps in weak_composition_list_any(bound - r - s, r + s):
+            yield f"expand_{r}_{s}", exps, exps[:r], exps[r:]
 
 
-def _points_nfold(max_total: int):
+def _nfold_points(bound: int):
     for n in (2, 3):
-        for runs in itertools.product(range(1, max_total + 1), repeat=n):
-            if sum(runs) >= max_total + 1:
-                continue
-            rem = max_total - sum(runs)
-            for exps in weak_composition_list_any(rem, n):
-                yield tuple(zip(exps, runs))
-
-
-def weak_composition_list_any(max_total: int, parts: int):
-    for total in range(max_total + 1):
-        yield from weak_composition_list(total, parts)
+        yield from run_tuples(bound, n)
 
 
 # ---------------------------------------------------------------------------
-# per-point checks (top level so a process pool can pickle them)
+# per-point checks.  Each returns a failure message or None.  They look the
+# expansions and oracles up as module globals at call time, so replacing a
+# module attribute (to trace or stub it) reaches every sweep.
 
 
-def _run_word(a: int, r: int) -> Word:
-    return Word("x" * a + "y" * r)
+def _run_word(*runs: int) -> Word:
+    """x^a1 y^r1 x^a2 y^r2 ... from the flat tuple (a1, r1, a2, r2, ...)."""
+    return Word("".join("x" * a + "y" * r for a, r in zip(runs[::2], runs[1::2])))
 
 
-def _check_general(point) -> str | None:
-    ea, eb = point
+def _check_oracle(point) -> str | None:
+    name, args, ea, eb = point
     want = shuffle_recursive(from_exponent_form(ea), from_exponent_form(eb))
-    if expand_general(ea, eb) != want:
-        return f"general mismatch at a={ea} b={eb}"
+    if globals()[name](*args) != want:
+        return f"{name} mismatch at a={ea} b={eb}"
     return None
 
 
 def _check_res11(point) -> str | None:
-    a, r, b, s = point
-    want = shuffle_recursive(_run_word(a, r), _run_word(b, s))
-    if expand_res_1_1(a, r, b, s) != want:
+    if expand_res_1_1(*point) != shuffle_recursive(_run_word(*point[:2]), _run_word(*point[2:])):
         return f"res11 mismatch at (a,r,b,s)={point}"
     return None
 
 
 def _check_res12(point) -> str | None:
-    a, r, b1, s1, b2, s2 = point
-    want = shuffle_recursive(_run_word(a, r), Word("x" * b1 + "y" * s1 + "x" * b2 + "y" * s2))
-    if expand_res_1_2(a, r, b1, s1, b2, s2) != want:
+    if expand_res_1_2(*point) != shuffle_recursive(_run_word(*point[:2]), _run_word(*point[2:])):
         return f"res12 mismatch at (a,r,b1,s1,b2,s2)={point}"
     return None
 
 
 def _check_res22(point) -> str | None:
-    a1, r1, a2, r2, b1, s1, b2, s2 = point
-    u = Word("x" * a1 + "y" * r1 + "x" * a2 + "y" * r2)
-    v = Word("x" * b1 + "y" * s1 + "x" * b2 + "y" * s2)
-    if expand_res_2_2(*point) != shuffle_recursive(u, v):
+    if expand_res_2_2(*point) != shuffle_recursive(_run_word(*point[:4]), _run_word(*point[4:])):
         return f"res22 mismatch at (a1,r1,a2,r2,b1,s1,b2,s2)={point}"
     return None
 
 
 def _check_nfold(point) -> str | None:
-    pairs = list(point)
+    pairs = list(zip(point[::2], point[1::2]))
     want = shuffle_nfold([_run_word(a, r) for a, r in pairs])
     if expand_nfold(pairs) != want:
         return f"nfold mismatch at {pairs}"
@@ -195,215 +206,146 @@ def _check_nfold(point) -> str | None:
     return None
 
 
-_SUITES = {
-    "general": (8, _points_general, _check_general, "pairs of words ending in y"),
-    "res11": (10, _points_res11, _check_res11, "x^a y^r . x^b y^s grids"),
-    "res12": (10, _points_res12, _check_res12, "x^a y^r . x^b1 y^s1 x^b2 y^s2 grids"),
-    "res22": (10, _points_res22, _check_res22, "two-run by two-run grids"),
-    "nfold": (9, _points_nfold, _check_nfold, "2- and 3-fold run products"),
+def _check_shuffle_properties(pair) -> str | None:
+    """recursive == permutation, commutativity, the interleaving count,
+    homogeneity, and closure of the words ending in y and of the
+    admissible words."""
+    ua, ub = pair
+    fwd = _shuffle_raw(ua, ub)
+    if fwd != _shuffle_raw(ub, ua):
+        return f"commutativity fails for {ua!r},{ub!r}"
+    if LinComb(fwd) != shuffle_permutation(Word(ua), Word(ub)):
+        return f"recursive != permutation for {ua!r},{ub!r}"
+    if sum(fwd.values()) != binom(len(ua) + len(ub), len(ua)):
+        return f"coefficient sum wrong for {ua!r},{ub!r}"
+    ys = ua.count("y") + ub.count("y")
+    if any(len(word) != len(ua) + len(ub) or word.count("y") != ys for word in fwd):
+        return f"homogeneity fails for {ua!r},{ub!r}"
+    in_h1 = (not ua or ua.endswith("y")) and (not ub or ub.endswith("y"))
+    if in_h1 and any(word and not word.endswith("y") for word in fwd):
+        return f"h1 closure fails for {ua!r},{ub!r}"
+    admissible = Word(ua).is_admissible and Word(ub).is_admissible
+    if admissible and not all(Word(word).is_admissible for word in fwd):
+        return f"h0 closure fails for {ua!r},{ub!r}"
+    return None
+
+
+@lru_cache(maxsize=8192)
+def _shuffle_memo(u: str, v: str) -> dict[str, int]:
+    # the associativity sweep shuffles the same pairs across many triples
+    return _shuffle_raw(u, v)
+
+
+def _fold(u: str, v: str, outer: str) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for word, coeff in _shuffle_memo(u, v).items():
+        for word2, mult in _shuffle_memo(word, outer).items():
+            out[word2] = out.get(word2, 0) + coeff * mult
+    return out
+
+
+def _check_associativity(triple) -> str | None:
+    """(u . v) . w independent of grouping and of which factor sits outside.
+
+    Commutativity (checked by the shuffle-properties sweep) reduces the six
+    orderings of each triple to the three choices of outer factor.
+    """
+    ua, ub, uc = triple
+    first = _fold(ua, ub, uc)
+    if first != _fold(ua, uc, ub) or first != _fold(ub, uc, ua):
+        return f"associativity fails for {ua!r},{ub!r},{uc!r}"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the registry and its runner
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """A sweep: `grid(bound)` yields its points up to a total word length,
+    `check(point)` returns a failure message or None."""
+
+    default_bound: int
+    describe: str
+    grid: Callable[[int], Iterable]
+    check: Callable[[object], str | None]
+
+
+SWEEPS: dict[str, Sweep] = {
+    "general": Sweep(8, "pairs of words ending in y", _general_points, _check_oracle),
+    "res11": Sweep(10, "x^a y^r . x^b y^s grids", lambda n: run_tuples(n, 2), _check_res11),
+    "res12": Sweep(10, "x^a y^r . x^b1 y^s1 x^b2 y^s2 grids", lambda n: run_tuples(n, 3), _check_res12),
+    "res22": Sweep(10, "two-run by two-run grids", lambda n: run_tuples(n, 4), _check_res22),
+    "nfold": Sweep(9, "2- and 3-fold run products", _nfold_points, _check_nfold),
+    "appendixA": Sweep(
+        10, "alternative x^a y^r . x^b y^s form, positive parameters",
+        lambda n: run_tuples(n, 2, 1), equivalence.check_lgm_1_1,
+    ),
+    "appendixB": Sweep(
+        10, "alternative x^a y^r . x^b1 y^s1 x^b2 y^s2 form, positive parameters",
+        lambda n: run_tuples(n, 3, 1), equivalence.check_lgm_1_2,
+    ),
+    "specializations": Sweep(
+        9, "Euler, 1 x s and the five small cases", _specialization_points, _check_oracle
+    ),
+    "shuffle-properties": Sweep(
+        10, "all word pairs", lambda n: word_tuples(n, 2), _check_shuffle_properties
+    ),
+    "associativity": Sweep(9, "all word triples", lambda n: word_tuples(n, 3), _check_associativity),
 }
-SUITE_NAMES = ("general", "res11", "res12", "res22", "nfold", "appendixA", "appendixB")
 
 
 def run_suite(name: str, max_weight: int | None = None, jobs: int = 1) -> VerifyReport:
-    """Run one named verification suite up to a total word length."""
+    """Run one registered sweep up to a total word length.
+
+    The bound is `max_weight`, or the sweep's default, capped by
+    MZV_MAX_WEIGHT; with jobs > 1 the points are checked in up to
+    `clamp_jobs(jobs)` worker processes.
+    """
+    try:
+        sweep = SWEEPS[name]
+    except KeyError:
+        raise ValueError(f"unknown suite {name!r}; expected one of {tuple(SWEEPS)}") from None
     cap = weight_cap()
+    if max_weight is not None and max_weight < 1:
+        raise ValueError(f"max weight must be at least 1, got {max_weight}")
     if max_weight is not None and max_weight > cap:
         raise ValueError(f"max weight {max_weight} exceeds the cap {cap} "
                          f"(override with {ENV_WEIGHT_CAP})")
-    if name in ("appendixA", "appendixB"):
-        bound = min(max_weight if max_weight is not None else 10, cap)
-        report = equivalence.check_equivalence("A" if name == "appendixA" else "B", bound)
-        return VerifyReport(
-            suite=name,
-            grid=report.grid,
-            checked=report.checked,
-            failures=report.failures,
-            elapsed_ms=report.elapsed_ms,
-        )
-    try:
-        default_bound, points_fn, check_fn, describe = _SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES + ('all',)}") from None
-    bound = min(max_weight if max_weight is not None else default_bound, cap)
+    bound = min(max_weight if max_weight is not None else sweep.default_bound, cap)
     start = time.perf_counter()
-    points = list(points_fn(bound))
-    failures: list[str] = []
+    points = list(sweep.grid(bound))
+    jobs = clamp_jobs(jobs)
     if jobs > 1 and len(points) > 64:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(64, len(points) // (jobs * 8))
-        chunks = [points[i : i + chunk] for i in range(0, len(points), chunk)]
+        chunks = [(name, points[i : i + chunk]) for i in range(0, len(points), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_check_chunk, [(name, c) for c in chunks]):
-                failures.extend(result)
+            failures = [f for part in pool.map(_check_chunk, chunks) for f in part]
     else:
-        for point in points:
-            failure = check_fn(point)
-            if failure:
-                failures.append(failure)
+        failures = _check_chunk((name, points))
     failures.sort()
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
     return VerifyReport(
         suite=name,
-        grid=f"{describe}, total word length <= {bound}",
+        grid=f"{sweep.describe}, total word length <= {bound}",
         checked=len(points),
         failures=failures,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
 def _check_chunk(args) -> list[str]:
+    # takes the sweep's name, not its check, so a process pool pickles only data
     name, points = args
-    check_fn = _SUITES[name][2]
-    return [f for f in (check_fn(p) for p in points) if f]
-
-
-def run_all(max_weight: int | None = None, jobs: int = 1) -> list[VerifyReport]:
-    return [run_suite(name, max_weight, jobs) for name in SUITE_NAMES]
-
-
-# ---------------------------------------------------------------------------
-# shuffle-operation properties
-
-
-def run_shuffle_property_sweep(max_total: int = 10) -> VerifyReport:
-    """recursive == permutation, commutativity, homogeneity, closure and
-    the interleaving count, over every word pair up to max_total letters."""
-    start = time.perf_counter()
-    failures: list[str] = []
-    checked = 0
-    for la in range(0, max_total + 1):
-        for ua in words_of_length(la):
-            for lb in range(0, max_total - la + 1):
-                for ub in words_of_length(lb):
-                    if (la, ua) > (lb, ub):
-                        continue  # unordered pairs; both orders run below
-                    checked += 1
-                    fwd = _shuffle_raw(ua, ub)
-                    rev = _shuffle_raw(ub, ua)
-                    if fwd != rev:
-                        failures.append(f"commutativity fails for {ua!r},{ub!r}")
-                        continue
-                    perm = shuffle_permutation(Word(ua), Word(ub))
-                    if LinComb(fwd) != perm:
-                        failures.append(f"recursive != permutation for {ua!r},{ub!r}")
-                        continue
-                    if sum(fwd.values()) != binom(la + lb, la):
-                        failures.append(f"coefficient sum wrong for {ua!r},{ub!r}")
-                        continue
-                    ys = ua.count("y") + ub.count("y")
-                    for word in fwd:
-                        if len(word) != la + lb or word.count("y") != ys:
-                            failures.append(f"homogeneity fails for {ua!r},{ub!r}")
-                            break
-                    in_h1 = (not ua or ua.endswith("y")) and (not ub or ub.endswith("y"))
-                    admissible = Word(ua).is_admissible and Word(ub).is_admissible
-                    for word in fwd:
-                        if in_h1 and word and not word.endswith("y"):
-                            failures.append(f"h1 closure fails for {ua!r},{ub!r}")
-                            break
-                        if admissible and not Word(word).is_admissible:
-                            failures.append(f"h0 closure fails for {ua!r},{ub!r}")
-                            break
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return VerifyReport(
-        suite="shuffle-properties",
-        grid=f"all word pairs with total length <= {max_total}",
-        checked=checked,
-        failures=failures,
-        elapsed_ms=elapsed_ms,
-    )
-
-
-def run_associativity_sweep(max_total: int = 9) -> VerifyReport:
-    """(u . v) . w independent of grouping and of which factor sits outside.
-
-    Commutativity (verified separately up to a larger bound) reduces the six
-    orderings of each triple to the three choices of outer factor.
-    """
-    start = time.perf_counter()
-    cache: dict[tuple[str, str], dict[str, int]] = {}
-
-    def shuf(x: str, y: str) -> dict[str, int]:
-        key = (x, y)
-        hit = cache.get(key)
-        if hit is None:
-            hit = _shuffle_raw(x, y)
-            cache[key] = hit
-        return hit
-
-    def fold(x: str, y: str, outer: str) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for word, coeff in shuf(x, y).items():
-            for word2, mult in shuf(word, outer).items():
-                out[word2] = out.get(word2, 0) + coeff * mult
-        return out
-
-    failures: list[str] = []
-    checked = 0
-    for la in range(0, max_total + 1):
-        for ua in words_of_length(la):
-            for lb in range(la, max_total - la + 1):
-                for ub in words_of_length(lb):
-                    if la == lb and ua > ub:
-                        continue
-                    for lc in range(lb, max_total - la - lb + 1):
-                        for uc in words_of_length(lc):
-                            if lb == lc and ub > uc:
-                                continue
-                            checked += 1
-                            first = fold(ua, ub, uc)
-                            if first != fold(ua, uc, ub) or first != fold(ub, uc, ua):
-                                failures.append(
-                                    f"associativity fails for {ua!r},{ub!r},{uc!r}"
-                                )
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return VerifyReport(
-        suite="associativity",
-        grid=f"all word triples with total length <= {max_total}",
-        checked=checked,
-        failures=failures,
-        elapsed_ms=elapsed_ms,
-    )
+    check = SWEEPS[name].check
+    return [f for f in map(check, points) if f]
 
 
 def run_specialization_sweep(max_total: int = 9) -> VerifyReport:
     """Euler, 1 x s and the five transcribed small cases against the oracle."""
-    start = time.perf_counter()
-    failures: list[str] = []
-    checked = 0
-
-    def compare(got, ea, eb, label):
-        nonlocal checked
-        checked += 1
-        want = shuffle_recursive(from_exponent_form(ea), from_exponent_form(eb))
-        if got != want:
-            failures.append(f"{label} mismatch at a={ea} b={eb}")
-
-    for a in range(0, max_total - 1):
-        for b in range(0, max_total - 1 - a):
-            compare(expand_euler(a, b), (a,), (b,), "euler")
-    for s in range(1, max_total - 1):
-        for a in range(0, max_total - 1 - s):
-            for eb in weak_composition_list_any(max_total - 1 - s - a, s):
-                compare(expand_1_s(a, eb), (a,), eb, "1_s")
-    small = [
-        (expand_1_2, 1, 2, "c12"),
-        (expand_1_3, 1, 3, "c13"),
-        (expand_2_2, 2, 2, "c22"),
-        (expand_2_3, 2, 3, "c23"),
-        (expand_3_3, 3, 3, "c33"),
-    ]
-    for fn, r, s, label in small:
-        for exps in weak_composition_list_any(max_total - r - s, r + s):
-            compare(fn(*exps), exps[:r], exps[r:], label)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return VerifyReport(
-        suite="specializations",
-        grid=f"full parameter grids with total word length <= {max_total}",
-        checked=checked,
-        failures=failures,
-        elapsed_ms=elapsed_ms,
-    )
+    return run_suite("specializations", max_total)
 
 
 # ---------------------------------------------------------------------------

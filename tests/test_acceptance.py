@@ -93,8 +93,8 @@ def test_appendix_equivalences():
 
 def test_algebraic_properties():
     start = time.perf_counter()
-    props = verify.run_shuffle_property_sweep(10)
-    assoc = verify.run_associativity_sweep(9)
+    props = verify.run_suite("shuffle-properties", 10)
+    assoc = verify.run_suite("associativity", 9)
     elapsed = time.perf_counter() - start
     ok = props.ok and assoc.ok and elapsed <= 60
     _report("algebraic-properties", ok, _suite_detail([props, assoc]))

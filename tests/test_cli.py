@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mzvshuffle import verify
 from mzvshuffle.cli import main
 
 
@@ -126,10 +127,10 @@ def test_verify_json_schema(capsys):
             / "verify_report.schema.json"
         ).read_text()
     )
-    code, out, _ = run_cli(capsys, "verify", "appendixA", "--max-weight", "7", "--json")
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-weight", "5", "--json")
     assert code == 0
     reports = json.loads(out)
-    assert isinstance(reports, list) and reports
+    assert [r["suite"] for r in reports] == list(verify.SWEEPS)
     for report in reports:
         jsonschema.validate(report, schema)
 
@@ -141,6 +142,12 @@ def test_verify_weight_cap_env(capsys, monkeypatch):
     assert "cap" in err
     code, _, _ = run_cli(capsys, "verify", "general", "--max-weight", "6")
     assert code == 0
+    for raw in ("-4", "abc"):
+        monkeypatch.setenv("MZV_MAX_WEIGHT", raw)
+        code, out, err = run_cli(capsys, "verify", "all")
+        assert code == 2
+        assert "MZV_MAX_WEIGHT" in err
+        assert "checked" not in out
 
 
 def test_verify_jobs_flag(capsys):
@@ -152,7 +159,18 @@ def test_verify_jobs_flag(capsys):
 def test_verify_all(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-weight", "6")
     assert code == 0
-    assert out.count("[PASS]") == 7
+    assert out.count("[PASS]") == len(verify.SWEEPS) == 10
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(("bogus",), "unknown suite"), (("res22", "--max-weight", "-3"), "at least 1")],
+)
+def test_verify_rejects_bad_suite_or_bound(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
 
 
 def test_verify_deterministic_output(capsys):
@@ -161,8 +179,6 @@ def test_verify_deterministic_output(capsys):
 
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
-    from mzvshuffle import verify
-
     def fake_run_suite(name, max_weight=None, jobs=1):
         return verify.VerifyReport(
             suite=name, grid="stub", checked=3, failures=["mismatch at (1,1)"]

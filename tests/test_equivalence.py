@@ -4,7 +4,6 @@ import pytest
 
 from mzvshuffle.equivalence import (
     PositivityRequiredError,
-    check_equivalence,
     expand_lgm_1_1,
     expand_lgm_1_2,
     lgm_1_2_sum,
@@ -13,6 +12,7 @@ from mzvshuffle.lincomb import LinComb
 from mzvshuffle.restricted import expand_res_1_1, expand_res_1_2
 from mzvshuffle.shuffle import shuffle_recursive
 from mzvshuffle.words import Word
+from mzvshuffle import verify
 
 
 def test_lgm_1_1_euler_case():
@@ -91,31 +91,27 @@ def test_lgm_1_2_per_sum_accessor():
         lgm_1_2_sum(5, *point)
 
 
-def test_check_equivalence_pair_a():
-    # the whole [1,3]^4 box
-    report = check_equivalence("A", 12, max_param=3)
-    assert report.pair == "A"
-    assert report.checked == 81
+def test_check_equivalence_pair_a(monkeypatch):
+    # the grid at 12 contains the whole [1,3]^4 box
+    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "12")
+    report = verify.run_suite("appendixA", 12)
+    assert report.suite == "appendixA"
+    assert report.checked == 495  # binom(12, 4) positive 4-tuples with sum <= 12
     assert report.failures == []
     assert report.ok
 
 
 def test_check_equivalence_pair_b():
-    report = check_equivalence("B", 8, max_param=2)
-    assert report.checked > 0
+    report = verify.run_suite("appendixB", 8)
+    assert report.checked == 28  # binom(8, 6) positive 6-tuples with sum <= 8
     assert report.failures == []
 
 
 def test_check_equivalence_empty_grid():
-    report = check_equivalence("A", 3)
+    report = verify.run_suite("appendixA", 3)
     assert report.checked == 0
     assert report.failures == []
     assert report.ok
-
-
-def test_check_equivalence_validation():
-    with pytest.raises(ValueError):
-        check_equivalence("C", 8)
 
 
 def test_report_json_schema():
@@ -130,7 +126,7 @@ def test_report_json_schema():
             / "verify_report.schema.json"
         ).read_text()
     )
-    report = check_equivalence("A", 6)
+    report = verify.run_suite("appendixA", 6)
     obj = json.loads(report.to_json())
     jsonschema.validate(obj, schema)
-    assert set(obj) >= {"pair", "grid", "failures", "elapsed_ms"}
+    assert set(obj) == {"suite", "grid", "checked", "failures", "elapsed_ms"}

@@ -1,23 +1,39 @@
+import os
+
 import pytest
 
 from mzvshuffle import verify
 
+# points each sweep checks at total word length <= 6
+CHECKED_AT_6 = {
+    "general": 129,
+    "res11": 70,
+    "res12": 84,
+    "res22": 45,
+    "nfold": 154,
+    "appendixA": 15,
+    "appendixB": 1,
+    "specializations": 124,
+    "shuffle-properties": 392,
+    "associativity": 584,
+}
+
 
 def test_unknown_suite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="appendixB"):
         verify.run_suite("bogus")
 
 
 def test_suite_names_cover_cli_choices():
-    assert set(verify.SUITE_NAMES) == {
-        "general",
-        "res11",
-        "res12",
-        "res22",
-        "nfold",
-        "appendixA",
-        "appendixB",
-    }
+    assert set(verify.SWEEPS) == set(CHECKED_AT_6)
+
+
+@pytest.mark.parametrize("name", list(CHECKED_AT_6))
+def test_checked_at_bound_6(name):
+    report = verify.run_suite(name, 6)
+    assert report.checked == CHECKED_AT_6[name]
+    assert report.ok
+    assert report.grid.endswith("<= 6")
 
 
 def test_weight_cap(monkeypatch):
@@ -31,6 +47,19 @@ def test_weight_cap(monkeypatch):
     assert verify.weight_cap() == verify.DEFAULT_WEIGHT_CAP
 
 
+@pytest.mark.parametrize("raw", ["-4", "0", "abc"])
+def test_weight_cap_rejects_bad_env(monkeypatch, raw):
+    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, raw)
+    with pytest.raises(ValueError, match=verify.ENV_WEIGHT_CAP):
+        verify.run_suite("res11")
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_bound_below_one_rejected(bound):
+    with pytest.raises(ValueError, match="at least 1"):
+        verify.run_suite("res22", bound)
+
+
 def test_default_bound_capped_by_env(monkeypatch):
     monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "5")
     report = verify.run_suite("res12")  # default bound 10 shrinks to the cap
@@ -38,11 +67,19 @@ def test_default_bound_capped_by_env(monkeypatch):
     assert report.ok
 
 
-def test_jobs_match_sequential():
-    seq = verify.run_suite("res11", 7, jobs=1)
-    par = verify.run_suite("res11", 7, jobs=2)
-    assert seq.checked == par.checked
+@pytest.mark.parametrize("name, bound", [("res11", 7), ("appendixB", 9)], ids=["res11", "appendixB"])
+def test_jobs_match_sequential(name, bound):
+    seq = verify.run_suite(name, bound, jobs=1)
+    par = verify.run_suite(name, bound, jobs=2)
+    assert seq.checked == par.checked > 64  # enough points for the pool
     assert seq.failures == par.failures == []
+
+
+def test_clamp_jobs(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [verify.clamp_jobs(j) for j in (-5, 0, 1, 3, 4, 100_000)] == [1, 1, 1, 3, 4, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify.clamp_jobs(8) == 1
 
 
 def test_report_json_obj():
