@@ -44,6 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("recursive", "permutation", "general", "auto"),
         default="auto",
+        help="auto (the default) runs the memoized recursion, as recursive does; "
+        "general runs the closed form and needs both words ending in y",
     )
     p_shuffle.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
 
@@ -74,11 +76,8 @@ def _cmd_shuffle(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     method = args.method
-    applicable = u.ends_with_y and v.ends_with_y
-    if method == "auto":
-        method = "general" if applicable else "recursive"
     if method == "general":
-        if not applicable:
+        if not (u.ends_with_y and v.ends_with_y):
             print(
                 "error: the general closed form needs both words nonempty and ending in y",
                 file=sys.stderr,

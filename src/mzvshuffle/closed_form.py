@@ -5,16 +5,37 @@ exponent tuple (alpha_1, ..., alpha_{r+s}) receives one contribution per way
 of interleaving the y-blocks of the two factors, and each interleaving
 contributes a product of binomials binom(alpha_i, beta_i) whose beta values
 are fixed by the block structure, with Kronecker deltas pinning the trailing
-positions.  The concrete low-arity expansions (Euler, 1 x s, and the five
-small cases) are independent transcriptions of their published displays and
-are tested against the brute-force oracles.
+positions.
+
+The interleavings depend only on the depth pair (r, s), so their block
+layouts are built once per pair, on first use, and cached.  Within a
+layout, beta_i is either an exponent of a factor (inside a block) or a
+constant minus alpha_1 + ... + alpha_{i-1} (at a block start).  The walk
+goes left to right and gives each alpha_i only the values with
+binom(alpha_i, beta_i) != 0; the Kronecker deltas fix the trailing
+positions and the one free position takes the x-degree that is left.
+Every contribution is a positive product, so the work scales with the
+number of nonzero terms of the formula instead of with all weak
+compositions of the x-degree.  coeff_general evaluates the same layouts at
+one exponent tuple, through beta_sequence.
+
+The concrete low-arity expansions (Euler, 1 x s, and the five small cases)
+are independent transcriptions of their published displays and are tested
+against the brute-force oracles.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
-from .combinat import binom, composition_list, prefix_sums, weak_composition_list
+from .combinat import (
+    binom,
+    binomial_chains,
+    composition_list,
+    prefix_sums,
+    weak_composition_list,
+)
 from .lincomb import LinComb
 from .words import from_exponent_form
 
@@ -78,57 +99,69 @@ def gamma_sequence(lcomp, ncomp, alphas, a, b) -> tuple[int, ...]:
     return beta_sequence(ncomp, lcomp, alphas, b, a)
 
 
-def _trailing_deltas(alphas: tuple[int, ...], ref: tuple[int, ...], bound: int, offset: int) -> bool:
-    # positions bound+2 .. r+s must carry alpha_j == ref_{j-offset}
-    for j in range(bound + 2, len(alphas) + 1):
-        if alphas[j - 1] != ref[j - offset - 1]:
-            return False
-    return True
+class _Layout(NamedTuple):
+    """One y-block interleaving, reduced to what its chain needs.
+
+    Positions 1..bound carry binom(alpha_i, beta_i); position bound+1 is
+    free; the positions after it are pinned by Kronecker deltas.  Indices
+    refer to the table that _constants builds for the exponents.
+    """
+
+    lcomp: tuple[int, ...]
+    ncomp: tuple[int, ...]
+    bound: int
+    steps: tuple[tuple[int, bool], ...]  # (table index of beta's constant, prefix)
+    tail: tuple[int, ...]  # table indices of the pinned alpha values
 
 
-def _binom_chain(alphas: tuple[int, ...], betas: tuple[int, ...], bound: int) -> int:
-    prod = 1
-    for i in range(bound):
-        prod *= binom(alphas[i], betas[i])
-        if not prod:
-            return 0
-    return prod
+def _constants(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """a + b, then pa[x] + pb[y] at index r + s + x * (s + 1) + y."""
+    pa, pb = prefix_sums(a), prefix_sums(b)
+    return [*a, *b, *(x + y for x in pa for y in pb)]
 
 
-def _beta_cases(alphas: tuple[int, ...], a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Contributions of the interleavings that start with an a-block.
+@lru_cache(maxsize=None)
+def _layouts(r: int, s: int) -> tuple[_Layout, ...]:
+    """Layouts of the interleavings of depths r and s that start with an a-block.
 
     Two shapes: ending with an a-block (one extra a-part) or with a b-block
-    (equally many parts).  Calling this with a and b swapped yields the
-    gamma-side contributions of the interleavings starting with a b-block.
+    (equally many parts).  Depth pair (s, r) with the factors swapped gives
+    the gamma-side layouts, those starting with a b-block.
     """
-    r, s = len(a), len(b)
-    total = 0
+
+    def start(x: int, y: int) -> tuple[int, bool]:
+        return (r + s + x * (s + 1) + y, True)
+
+    def layout(lc, nc, bound, tail):
+        # the beta_sequence recipe, with the exponents left symbolic
+        steps: list[tuple[int, bool]] = []
+        ai = bi = 0
+        for j, lpart in enumerate(lc):
+            steps.append(start(ai + 1, bi))
+            steps.extend((ai + t - 1, False) for t in range(2, lpart + 1))
+            ai += lpart
+            if j < len(nc):
+                steps.append(start(ai, bi + 1))
+                steps.extend((r + bi + t - 1, False) for t in range(2, nc[j] + 1))
+                bi += nc[j]
+        return _Layout(lc, nc, bound, tuple(steps[:bound]), tuple(tail))
+
+    out = []
     # shape ending in an a-block: l has p+1 parts, n has p parts
     for p in range(1, min(r - 1, s) + 1):
         for head in range(p, r):  # L_p; the final a-block keeps r - head >= 1
-            bound = head + s
-            if not _trailing_deltas(alphas, a, bound, s):
-                continue
             for lc_head in composition_list(head, p):
-                lc = lc_head + (r - head,)
                 for nc in composition_list(s, p):
-                    total += _binom_chain(
-                        alphas, beta_sequence(lc, nc, alphas, a, b), bound
-                    )
+                    out.append(layout(lc_head + (r - head,), nc, head + s, range(head + 1, r)))
     # shape ending in a b-block: l and n both have p parts
     for p in range(1, min(r, s) + 1):
         for head in range(p - 1, s):  # N_{p-1}; the final b-block keeps s - head >= 1
-            bound = r + head
-            if not _trailing_deltas(alphas, b, bound, r):
-                continue
             for nc_head in composition_list(head, p - 1):
-                nc = nc_head + (s - head,)
                 for lc in composition_list(r, p):
-                    total += _binom_chain(
-                        alphas, beta_sequence(lc, nc, alphas, a, b), bound
+                    out.append(
+                        layout(lc, nc_head + (s - head,), r + head, range(r + head + 1, r + s))
                     )
-    return total
+    return tuple(out)
 
 
 def coeff_general(alphas: Iterable[int], a: Iterable[int], b: Iterable[int]) -> int:
@@ -142,7 +175,18 @@ def coeff_general(alphas: Iterable[int], a: Iterable[int], b: Iterable[int]) -> 
         raise ValueError(f"alpha entries must be nonnegative, got {alphas}")
     if sum(alphas) != sum(a) + sum(b):
         raise ValueError("alphas must sum to the total x-degree")
-    return _beta_cases(alphas, a, b) + _beta_cases(alphas, b, a)
+    total = 0
+    for first, second in ((a, b), (b, a)):
+        ref = first + second
+        for lay in _layouts(len(first), len(second)):
+            if alphas[lay.bound + 1 :] != tuple(ref[k] for k in lay.tail):
+                continue
+            betas = beta_sequence(lay.lcomp, lay.ncomp, alphas, first, second)
+            prod = 1
+            for i in range(lay.bound):
+                prod *= binom(alphas[i], betas[i])
+            total += prod
+    return total
 
 
 def expand_general(a: Iterable[int], b: Iterable[int]) -> LinComb:
@@ -151,13 +195,16 @@ def expand_general(a: Iterable[int], b: Iterable[int]) -> LinComb:
     _check_exponents(a, "a")
     _check_exponents(b, "b")
     total = sum(a) + sum(b)
-    parts = len(a) + len(b)
-    out = {}
-    for alphas in weak_composition_list(total, parts):
-        coeff = _beta_cases(alphas, a, b) + _beta_cases(alphas, b, a)
-        if coeff:
-            out[from_exponent_form(alphas)] = coeff
-    return LinComb(out)
+    out: dict[tuple[int, ...], int] = {}
+    for first, second in ((a, b), (b, a)):
+        table = _constants(first, second)
+        for lay in _layouts(len(first), len(second)):
+            tail = tuple(table[k] for k in lay.tail)
+            steps = tuple((table[k], prefix) for k, prefix in lay.steps)
+            for head, coeff in binomial_chains(steps, total - sum(tail)):
+                key = head + tail
+                out[key] = out.get(key, 0) + coeff
+    return LinComb({from_exponent_form(alphas): c for alphas, c in out.items()})
 
 
 def expand_euler(a: int, b: int) -> LinComb:

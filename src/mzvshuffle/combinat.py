@@ -73,6 +73,54 @@ def composition_list(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(compositions(total, parts))
 
 
+# The restricted expansions ask for the same few windows at many grid points;
+# the bound caps what the memo holds over a long sweep.
+@lru_cache(maxsize=256)
+def binomial_chains(
+    steps: tuple[tuple[int, bool], ...], total: int
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Weak compositions w of `total` into len(steps) + 1 parts whose chain
+    binom(w_0, beta_0) * ... * binom(w_{n-1}, beta_{n-1}) is nonzero, each
+    paired with that product.  The last part takes what is left.
+
+    steps[i] = (c, prefix) gives beta_i = c - (w_0 + ... + w_{i-1}) when
+    prefix is true and beta_i = c otherwise.  Each w_i only takes values with
+    0 <= beta_i <= w_i, and cap[i], the largest prefix sum w_0 + ... + w_{i-1}
+    from which the remaining steps can still be met, bounds it from above, so
+    no branch of the walk dies: each level holds at most one partial
+    composition per output, and the work is proportional to the output.
+    """
+    n = len(steps)
+    cap = [0] * (n + 1)
+    cap[n] = total
+    for i in range(n - 1, -1, -1):
+        c, prefix = steps[i]
+        if prefix:
+            # beta_i >= 0 needs the prefix sum at most c; w_i >= beta_i then
+            # lifts the next prefix sum to at least c
+            if c > cap[i + 1]:
+                return ()
+            cap[i] = min(c, cap[i + 1])
+        else:
+            if c < 0:
+                return ()
+            cap[i] = cap[i + 1] - c
+    if cap[0] < 0:
+        return ()
+    comb = math.comb
+    states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+    for i, (c, prefix) in enumerate(steps):
+        top = cap[i + 1]
+        nxt: list[tuple[tuple[int, ...], int, int]] = []
+        add = nxt.append
+        for w, used, coeff in states:
+            beta = c - used if prefix else c
+            for x in range(beta, top - used + 1):
+                add((w + (x,), used + x, coeff * comb(x, beta) if beta else coeff))
+        states = nxt
+    return tuple([(w + (total - used,), coeff) for w, used, coeff in states])
+
+
 def prefix_sums(seq) -> tuple[int, ...]:
     """(0, s1, s1+s2, ...): prefix_sums(seq)[i] is the sum of the first i items."""
     out = [0]

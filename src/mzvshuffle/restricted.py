@@ -10,7 +10,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .combinat import binom, composition_list, prefix_sums, weak_composition_list
+from .combinat import (
+    binom,
+    binomial_chains,
+    composition_list,
+    prefix_sums,
+    weak_composition_list,
+)
 from .lincomb import LinComb
 from .words import from_exponent_form
 
@@ -35,6 +41,13 @@ def _inner_shuffles(extra_ys: int, gap: int) -> int:
     if gap >= 0:
         return binom(extra_ys + gap, extra_ys)
     return 1 if extra_ys == 0 else 0
+
+
+def _window(width: int, pinned: dict[int, tuple[int, bool]]) -> tuple[tuple[int, bool], ...]:
+    """binomial_chains steps for a window of `width` parts: binom(w_i, beta_i)
+    at the positions `pinned` names, as (c, prefix), and no condition on the
+    other parts.  Every pinned position lies before the last part."""
+    return tuple(pinned.get(i, (0, False)) for i in range(width - 1))
 
 
 def _to_lincomb(out: dict) -> LinComb:
@@ -127,15 +140,10 @@ def _res12_case_iii(a, r, b1, s1, b2, s2, out):
         mult = binom(r2 + s2 - 1, r2)
         if not mult:
             continue
-        width = r1 + s1 + 1
         tail = (0,) * (r2 + s2 - 1)
-        for w in weak_composition_list(a + b1 + b2, width):
-            coeff = binom(w[0], b1)
-            if not coeff:
-                continue
-            coeff *= binom(w[s1], a + b1 - sum(w[:s1]))
-            if coeff:
-                _add(out, w + tail, mult * coeff)
+        steps = _window(r1 + s1 + 1, {0: (b1, False), s1: (a + b1, True)})
+        for w, coeff in binomial_chains(steps, a + b1 + b2):
+            _add(out, w + tail, mult * coeff)
 
 
 def _res12_case_iv(a, r, b1, s1, b2, s2, out):
@@ -143,12 +151,10 @@ def _res12_case_iv(a, r, b1, s1, b2, s2, out):
         mult = binom(r + s2 - l - 1, r - 1)
         if not mult:
             continue
-        width = s1 + l + 1
         tail = (0,) * (r + s2 - l - 1)
-        for w in weak_composition_list(a + b1 + b2, width):
-            coeff = binom(w[0], b1) * binom(w[s1], b2)
-            if coeff:
-                _add(out, w + tail, mult * coeff)
+        steps = _window(s1 + l + 1, {0: (b1, False), s1: (b2, False)})
+        for w, coeff in binomial_chains(steps, a + b1 + b2):
+            _add(out, w + tail, mult * coeff)
 
 
 _RES12_CASES = {
@@ -239,18 +245,13 @@ def _res22_case_iii(a1, r1, a2, r2, b1, s1, b2, s2, out):
         mult = binom(l2 + s2 - 1, l2)
         if not mult:
             continue
-        width = r1 + l1 + s1 + 1
         tail = (0,) * (l2 + s2 - 1)
-        for w in weak_composition_list(a1 + a2 + b1 + b2, width):
-            coeff = binom(w[0], a1)
-            if not coeff:
-                continue
-            coeff *= binom(w[r1], a1 + b1 - sum(w[:r1]))
-            if not coeff:
-                continue
-            coeff *= binom(w[r1 + s1], a1 + a2 + b1 - sum(w[: r1 + s1]))
-            if coeff:
-                _add(out, w + tail, mult * coeff)
+        steps = _window(
+            r1 + l1 + s1 + 1,
+            {0: (a1, False), r1: (a1 + b1, True), r1 + s1: (a1 + a2 + b1, True)},
+        )
+        for w, coeff in binomial_chains(steps, a1 + a2 + b1 + b2):
+            _add(out, w + tail, mult * coeff)
 
 
 def _res22_case_iv(a1, r1, a2, r2, b1, s1, b2, s2, out):
@@ -258,18 +259,12 @@ def _res22_case_iv(a1, r1, a2, r2, b1, s1, b2, s2, out):
         mult = binom(r2 + s2 - k - 1, r2 - 1)
         if not mult:
             continue
-        width = r1 + s1 + k + 1
         tail = (0,) * (r2 + s2 - k - 1)
-        for w in weak_composition_list(a1 + a2 + b1 + b2, width):
-            coeff = binom(w[0], a1)
-            if not coeff:
-                continue
-            coeff *= binom(w[r1], a1 + b1 - sum(w[:r1]))
-            if not coeff:
-                continue
-            coeff *= binom(w[r1 + s1], b2)
-            if coeff:
-                _add(out, w + tail, mult * coeff)
+        steps = _window(
+            r1 + s1 + k + 1, {0: (a1, False), r1: (a1 + b1, True), r1 + s1: (b2, False)}
+        )
+        for w, coeff in binomial_chains(steps, a1 + a2 + b1 + b2):
+            _add(out, w + tail, mult * coeff)
 
 
 def _res22_case_v(a1, r1, a2, r2, b1, s1, b2, s2, out):
@@ -318,18 +313,14 @@ def _res22_case_vi(a1, r1, a2, r2, b1, s1, b2, s2, out):
                     continue
                 z1 = (0,) * (k + r1 - l1 - 1)
                 z2 = (0,) * (r2 + s2 - l2 - 1)
-                w2_width = s1 - k + 1
-                for w1 in weak_composition_list(a1 + b1, l1 + 1):
-                    c1 = mult * binom(w1[0], a1)
-                    if not c1:
-                        continue
-                    for total2 in range(a2 + b2 + 1):
-                        for w2 in weak_composition_list(total2, w2_width):
-                            c2 = binom(w2[-1], a2 - (total2 - w2[-1]))
-                            if not c2:
-                                continue
-                            for w3 in weak_composition_list(a2 + b2 - total2, l2):
-                                _add(out, w1 + z1 + w2 + w3 + z2, c1 * c2)
+                # w2 (s1 - k + 1 parts, the last closing the a2 prefix) and
+                # w3 (l2 parts) walked as one window
+                second = binomial_chains(
+                    _window(s1 - k + 1 + l2, {s1 - k: (a2, True)}), a2 + b2
+                )
+                for w1, c1 in binomial_chains(_window(l1 + 1, {0: (a1, False)}), a1 + b1):
+                    for w, c2 in second:
+                        _add(out, w1 + z1 + w + z2, mult * c1 * c2)
 
 
 def _res22_case_vii(a1, r1, a2, r2, b1, s1, b2, s2, out):
@@ -344,16 +335,11 @@ def _res22_case_vii(a1, r1, a2, r2, b1, s1, b2, s2, out):
                     continue
                 z1 = (0,) * (k1 + r1 - l - 1)
                 z2 = (0,) * (r2 + s2 - k2 - 1)
-                width = (s1 - k1) + k2 + 1
                 mix = s1 - k1  # index of position r1+s1+1 within the window
-                for w1 in weak_composition_list(a1 + b1, l + 1):
-                    c1 = mult * binom(w1[0], a1)
-                    if not c1:
-                        continue
-                    for w in weak_composition_list(a2 + b2, width):
-                        c2 = binom(w[mix], b2)
-                        if c2:
-                            _add(out, w1 + z1 + w + z2, c1 * c2)
+                second = binomial_chains(_window(mix + k2 + 1, {mix: (b2, False)}), a2 + b2)
+                for w1, c1 in binomial_chains(_window(l + 1, {0: (a1, False)}), a1 + b1):
+                    for w, c2 in second:
+                        _add(out, w1 + z1 + w + z2, mult * c1 * c2)
 
 
 def _res22_case_viii(a1, r1, a2, r2, b1, s1, b2, s2, out):

@@ -65,6 +65,11 @@ def test_general_formula_suite():
     _report("general-formula<=8", _suite_ok(report, 60), _suite_detail([report]))
 
 
+def test_general_formula_suite_weight_10():
+    report = verify.run_suite("general", 10)
+    _report("general-formula<=10", _suite_ok(report, 60), _suite_detail([report]))
+
+
 def test_specialization_suite():
     report = verify.run_specialization_sweep(9)
     _report("specializations<=9", _suite_ok(report, 120), _suite_detail([report]))

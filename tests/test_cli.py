@@ -33,6 +33,20 @@ def test_shuffle_methods_agree(capsys):
     assert len(outputs) == 1
 
 
+def test_shuffle_auto_runs_the_oracle(capsys, monkeypatch):
+    from mzvshuffle import cli
+
+    _, want, _ = run_cli(capsys, "shuffle", "x^2y", "xy", "--method", "recursive")
+
+    def closed_form_must_not_run(a, b):
+        raise AssertionError("--method auto ran the closed form")
+
+    monkeypatch.setattr(cli, "expand_general", closed_form_must_not_run)
+    code, out, _ = run_cli(capsys, "shuffle", "x^2y", "xy")
+    assert code == 0
+    assert out == want
+
+
 def test_shuffle_general_rejects_non_h1(capsys):
     code, _, err = run_cli(capsys, "shuffle", "xy", "yx", "--method", "general")
     assert code == 3

@@ -128,6 +128,27 @@ def test_expand_general_oracle_sweep():
             assert expand_general(ea, eb) == oracle(ea, eb)
 
 
+def test_expand_general_walk_matches_coeff_general():
+    # the walk over nonzero chains against the per-coefficient evaluation of
+    # the same display at every weak composition of the x-degree
+    for ea in h1_forms(6):
+        la = sum(ea) + len(ea)
+        for eb in h1_forms(7 - la):
+            want = {}
+            for alphas in weak_composition_list(sum(ea) + sum(eb), len(ea) + len(eb)):
+                coeff = coeff_general(alphas, ea, eb)
+                if coeff:
+                    want[from_exponent_form(alphas)] = coeff
+            assert expand_general(ea, eb) == LinComb(want), (ea, eb)
+
+
+def test_expand_general_length_18_pair():
+    ea, eb = (2, 1, 3, 0), (1, 2, 0, 1)
+    got = expand_general(ea, eb)
+    assert len(got) == 903
+    assert got == oracle(ea, eb)
+
+
 def test_expand_general_symmetry():
     for ea in h1_forms(3):
         for eb in h1_forms(3):

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 
 from mzvshuffle.combinat import (
     binom,
+    binomial_chains,
     compositions,
     prefix_sums,
     vandermonde_check,
@@ -70,3 +72,23 @@ def test_compositions():
 def test_prefix_sums():
     assert prefix_sums((3, 1, 2)) == (0, 3, 4, 6)
     assert prefix_sums(()) == (0,)
+
+
+def test_binomial_chains_against_filtered_compositions():
+    # every step kind, including free steps, negative constants and prefix
+    # constants larger than the total, against the enumerate-then-filter
+    # definition
+    kinds = [(c, prefix) for c in (-1, 0, 1, 2, 3) for prefix in (False, True)]
+    for n in range(4):
+        for steps in itertools.product(kinds, repeat=n):
+            for total in range(5):
+                want = {}
+                for w in weak_compositions(total, n + 1):
+                    coeff = 1
+                    for i, (c, prefix) in enumerate(steps):
+                        coeff *= binom(w[i], c - sum(w[:i]) if prefix else c)
+                    if coeff:
+                        want[w] = coeff
+                got = binomial_chains(steps, total)
+                assert len(got) == len(want), (steps, total)
+                assert dict(got) == want, (steps, total)
