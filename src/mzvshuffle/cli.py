@@ -44,8 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("recursive", "permutation", "general", "auto"),
         default="auto",
-        help="auto (the default) runs the memoized recursion, as recursive does; "
-        "general runs the closed form and needs both words ending in y",
+        help="auto (the default) runs the memoized recursion, and the closed form "
+        "instead when the words are too long for the recursion depth and both end "
+        "in y; general runs the closed form and needs both words ending in y",
     )
     p_shuffle.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
 
@@ -68,6 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _recursion_fits(u: Word, v: Word) -> bool:
+    """Whether shuffle_recursive, which nests one call per letter, stays well
+    inside the interpreter's recursion limit on these words."""
+    return len(u) + len(v) <= sys.getrecursionlimit() // 2
+
+
 def _cmd_shuffle(args) -> int:
     try:
         u = parse_word(args.word1)
@@ -75,9 +82,12 @@ def _cmd_shuffle(args) -> int:
     except (WordSyntaxError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    both_end_y = u.ends_with_y and v.ends_with_y
     method = args.method
+    if method == "auto":
+        method = "recursive" if _recursion_fits(u, v) or not both_end_y else "general"
     if method == "general":
-        if not (u.ends_with_y and v.ends_with_y):
+        if not both_end_y:
             print(
                 "error: the general closed form needs both words nonempty and ending in y",
                 file=sys.stderr,

@@ -73,9 +73,6 @@ def composition_list(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(compositions(total, parts))
 
 
-# The restricted expansions ask for the same few windows at many grid points;
-# the bound caps what the memo holds over a long sweep.
-@lru_cache(maxsize=256)
 def binomial_chains(
     steps: tuple[tuple[int, bool], ...], total: int
 ) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -171,6 +171,9 @@ def res_1_2_case(case: str, a: int, r: int, b1: int, s1: int, b2: int, s2: int) 
         fn = _RES12_CASES[case]
     except KeyError:
         raise ValueError(f"unknown case {case!r}") from None
+    _check_run(a, r)
+    _check_run(b1, s1)
+    _check_run(b2, s2)
     out: dict = {}
     fn(a, r, b1, s1, b2, s2, out)
     return _to_lincomb(out)
@@ -451,6 +454,8 @@ def res_2_2_case(
         fn = _RES22_CASES[case]
     except KeyError:
         raise ValueError(f"unknown case {case!r}") from None
+    for a, r in ((a1, r1), (a2, r2), (b1, s1), (b2, s2)):
+        _check_run(a, r)
     out: dict = {}
     fn(a1, r1, a2, r2, b1, s1, b2, s2, out)
     return _to_lincomb(out)

@@ -47,6 +47,14 @@ def test_shuffle_auto_runs_the_oracle(capsys, monkeypatch):
     assert out == want
 
 
+def test_shuffle_auto_deep_pair_runs_the_closed_form(capsys):
+    # 1,204 letters: deeper than the recursion limit lets shuffle_recursive go
+    code, out, _ = run_cli(capsys, "shuffle", "x^1200 y", "xy")
+    assert code == 0
+    _, want, _ = run_cli(capsys, "shuffle", "x^1200 y", "xy", "--method", "general")
+    assert out == want
+
+
 def test_shuffle_general_rejects_non_h1(capsys):
     code, _, err = run_cli(capsys, "shuffle", "xy", "yx", "--method", "general")
     assert code == 3

@@ -125,6 +125,16 @@ def test_res_1_2_case_accessor_validation():
         res_1_2_case("v", 1, 1, 1, 1, 1, 1)
 
 
+def test_case_accessors_reject_empty_runs():
+    # an empty y-run would put two pinned binomials of a window on one part
+    with pytest.raises(ValueError):
+        res_1_2_case("iii", 1, 1, 1, 0, 1, 1)
+    with pytest.raises(ValueError):
+        res_2_2_case("iii", 1, 1, 1, 1, 1, 0, 1, 1)
+    with pytest.raises(ValueError):
+        res_2_2_case("i", -1, 1, 1, 1, 1, 1, 1, 1)
+
+
 def test_res_1_2_oracle_grid():
     for a in range(3):
         for r in range(1, 3):
