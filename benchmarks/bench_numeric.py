@@ -1,9 +1,10 @@
-"""Benchmark the zeta-evaluation kernel: numba @njit vs pure numpy.
+"""Benchmark the zeta-evaluation kernel, `numeric._dp_numpy`.
 
-Run:  python3 benchmarks/bench_numeric.py [--terms 200000] [--repeat 5]
+Run:  python3 benchmarks/bench_numeric.py [--terms 200000] [--repeat 3]
+(with the package importable, e.g. PYTHONPATH=src)
 
 The workload evaluates every admissible zeta index of weight <= 7 at the
-given truncation.  The numba path is compiled once before timing.
+given truncation; the checksum is the sum of the values.
 """
 
 from __future__ import annotations
@@ -14,10 +15,7 @@ import time
 
 import numpy as np
 
-from mzvshuffle.numeric import HAVE_NUMBA, _dp_numpy
-
-if HAVE_NUMBA:
-    from mzvshuffle.numeric import _dp_numba
+from mzvshuffle.numeric import _dp_numpy
 
 
 def admissible_indices(max_weight: int):
@@ -29,10 +27,10 @@ def admissible_indices(max_weight: int):
                     yield (k1,) + rest
 
 
-def run(kernel, indices, terms: int) -> float:
+def run(indices, terms: int) -> float:
     total = 0.0
     for ks in indices:
-        value, _ = kernel(np.asarray(ks, dtype=np.int64), terms)
+        value, _ = _dp_numpy(np.asarray(ks, dtype=np.int64), terms)
         total += value
     return total
 
@@ -48,26 +46,13 @@ def main() -> None:
     print(f"workload: {len(indices)} zeta indices of weight <= {args.max_weight}, "
           f"{args.terms} terms each")
 
-    kernels = [("numpy", _dp_numpy)]
-    if HAVE_NUMBA:
-        _dp_numba(np.asarray((2,), dtype=np.int64), 64)  # compile outside the timer
-        kernels.append(("numba", _dp_numba))
-    else:
-        print("numba not importable; benchmarking the numpy fallback only")
-
-    results = {}
-    for name, kernel in kernels:
-        best = float("inf")
-        checksum = 0.0
-        for _ in range(args.repeat):
-            start = time.perf_counter()
-            checksum = run(kernel, indices, args.terms)
-            best = min(best, time.perf_counter() - start)
-        results[name] = best
-        print(f"{name:>6}: {best:8.3f} s (best of {args.repeat}), checksum {checksum:.12f}")
-
-    if len(results) == 2:
-        print(f"speedup numba vs numpy: {results['numpy'] / results['numba']:.2f}x")
+    best = float("inf")
+    checksum = 0.0
+    for _ in range(args.repeat):
+        start = time.perf_counter()
+        checksum = run(indices, args.terms)
+        best = min(best, time.perf_counter() - start)
+    print(f" numpy: {best:8.3f} s (best of {args.repeat}), checksum {checksum:.12f}")
 
 
 if __name__ == "__main__":

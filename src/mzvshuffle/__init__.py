@@ -58,12 +58,11 @@ _NUMERIC_NAMES = {
     "zeta_of_lincomb",
     "identity_residual",
     "identity_residual_with_bound",
-    "resolve_backend",
 }
 
 
 def __getattr__(name):
-    # the numeric module pulls in numpy/numba; load it only on demand
+    # the numeric module pulls in numpy; load it only on demand
     if name in _NUMERIC_NAMES:
         from . import numeric
 

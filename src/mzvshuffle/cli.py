@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .closed_form import expand_general
@@ -28,6 +29,14 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float >= 0."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_identity = sub.add_parser("identity", help="numeric check of zeta(u)zeta(v) = zeta(u.v)")
     p_identity.add_argument("word1")
     p_identity.add_argument("word2")
-    p_identity.add_argument("--tol", type=float, default=None)
+    p_identity.add_argument("--tol", type=_tolerance, default=None)
     p_identity.add_argument("--terms", type=int, default=None)
 
     return parser
@@ -155,7 +164,7 @@ def _cmd_identity(args) -> int:
     terms = args.terms if args.terms is not None else numeric.DEFAULT_TERMS
     try:
         residual, adaptive = numeric.identity_residual_with_bound(u, v, terms)
-    except (NotAdmissibleError, NotInH1Error) as exc:
+    except (NotAdmissibleError, NotInH1Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     bound = args.tol if args.tol is not None else adaptive

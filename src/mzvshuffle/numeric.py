@@ -8,14 +8,13 @@ difference between the M and M/2 truncations plus the analytic tail bound
 for the outer exponent.  Inner tails are covered only heuristically; the
 numbers here are a smoke test for identities that are exact symbolically.
 
-The inner loop is the one hot numeric kernel in the package.  By default it
-runs under numba's @njit; set MZVSHUFFLE_NUMERIC=numpy to force the pure
-numpy fallback (used automatically when numba is unavailable).
+The dynamic program is one numpy cumulative sum per nesting level, the one
+numeric kernel in the package.  Its arrays have M + 2 entries, so M is
+bounded by MAX_TERMS.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -25,20 +24,15 @@ import numpy as np
 from .lincomb import LinComb
 from .words import NotAdmissibleError, word_to_mzv
 
-ENV_BACKEND = "MZVSHUFFLE_NUMERIC"
 DEFAULT_TERMS = 20_000
 MIN_TERMS = 16
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+# the kernel holds at most four float64 arrays of terms + 2 entries at once,
+# 320 MB at the cap
+MAX_TERMS = 10_000_000
 
 
 def _dp_numpy(ks: np.ndarray, terms: int) -> tuple[float, float]:
-    """Vectorized fallback: one cumulative sum per nesting level."""
+    """The truncations at `terms` and `terms // 2`: one cumulative sum per nesting level."""
     m = np.arange(terms + 2, dtype=np.float64)
     level = np.ones(terms + 2)
     for k in ks[::-1]:
@@ -47,44 +41,6 @@ def _dp_numpy(ks: np.ndarray, terms: int) -> tuple[float, float]:
         level = np.zeros(terms + 2)
         level[1:] = np.cumsum(summand)[: terms + 1]
     return float(level[terms + 1]), float(level[terms // 2 + 1])
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dp_numba(ks, terms):  # pragma: no cover - numba-compiled
-        # exponents are small positive integers: repeated multiplication
-        # beats libm pow by ~4x here
-        level = np.ones(terms + 2)
-        for j in range(ks.shape[0] - 1, -1, -1):
-            k = ks[j]
-            nxt = np.zeros(terms + 2)
-            acc = 0.0
-            for m in range(1, terms + 1):
-                inv = 1.0 / m
-                p = inv
-                for _ in range(k - 1):
-                    p *= inv
-                acc += level[m] * p
-                nxt[m + 1] = acc
-            level = nxt
-        return level[terms + 1], level[terms // 2 + 1]
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def resolve_backend(name: str | None = None) -> str:
-    """Pick the DP backend: explicit arg, then the env flag, then numba."""
-    name = name or os.environ.get(ENV_BACKEND, "auto")
-    if name not in ("auto", "numba", "numpy"):
-        raise ValueError(f"backend must be 'numba', 'numpy' or 'auto', got {name!r}")
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return name
 
 
 @dataclass(frozen=True)
@@ -105,32 +61,29 @@ def _check_index(ks: tuple[int, ...]) -> None:
         )
 
 
+def _check_terms(terms: int) -> int:
+    terms = int(terms)
+    if not MIN_TERMS <= terms <= MAX_TERMS:
+        raise ValueError(f"terms must be between {MIN_TERMS} and {MAX_TERMS}, got {terms}")
+    return terms
+
+
 @lru_cache(maxsize=8192)
-def _eval_cached(ks: tuple[int, ...], terms: int, backend: str) -> NumericResult:
-    arr = np.asarray(ks, dtype=np.int64)
-    if backend == "numba":
-        value, half = _dp_numba(arr, terms)
-    else:
-        value, half = _dp_numpy(arr, terms)
+def _eval_cached(ks: tuple[int, ...], terms: int) -> NumericResult:
+    value, half = _dp_numpy(np.asarray(ks, dtype=np.int64), terms)
     tail = float(terms) ** (1 - ks[0]) / (ks[0] - 1)
     return NumericResult(value=value, err_est=abs(value - half) + tail, terms_used=terms)
 
 
-def mzv_eval(
-    idx: Iterable[int], terms: int = DEFAULT_TERMS, backend: str | None = None
-) -> NumericResult:
-    """Evaluate zeta(k_1, ..., k_n) by truncating the nested sum at `terms`."""
+def mzv_eval(idx: Iterable[int], terms: int = DEFAULT_TERMS) -> NumericResult:
+    """Evaluate zeta(k_1, ..., k_n) by truncating the nested sum at `terms`,
+    which must lie in [MIN_TERMS, MAX_TERMS]."""
     ks = tuple(int(k) for k in idx)
     _check_index(ks)
-    terms = int(terms)
-    if terms < MIN_TERMS:
-        raise ValueError(f"terms must be at least {MIN_TERMS}, got {terms}")
-    return _eval_cached(ks, terms, resolve_backend(backend))
+    return _eval_cached(ks, _check_terms(terms))
 
 
-def zeta_of_lincomb(
-    comb: LinComb, terms: int = DEFAULT_TERMS, backend: str | None = None
-) -> NumericResult:
+def zeta_of_lincomb(comb: LinComb, terms: int = DEFAULT_TERMS) -> NumericResult:
     """Apply the zeta map linearly; the empty word evaluates to exactly 1."""
     offending = [str(w) for w, _ in comb.items() if not w.is_admissible]
     if offending:
@@ -141,30 +94,30 @@ def zeta_of_lincomb(
         if word.is_empty:
             value += coeff
             continue
-        res = mzv_eval(word_to_mzv(word), terms, backend)
+        res = mzv_eval(word_to_mzv(word), terms)
         value += coeff * res.value
         err += abs(coeff) * res.err_est
     return NumericResult(value=value, err_est=err, terms_used=terms)
 
 
-def identity_residual(u, v, terms: int = DEFAULT_TERMS, backend: str | None = None) -> float:
+def identity_residual(u, v, terms: int = DEFAULT_TERMS) -> float:
     """|zeta(u) zeta(v) - zeta(u shuffle v)| at the given truncation."""
-    residual, _ = identity_residual_with_bound(u, v, terms, backend)
+    residual, _ = identity_residual_with_bound(u, v, terms)
     return residual
 
 
-def identity_residual_with_bound(
-    u, v, terms: int = DEFAULT_TERMS, backend: str | None = None
-) -> tuple[float, float]:
+def identity_residual_with_bound(u, v, terms: int = DEFAULT_TERMS) -> tuple[float, float]:
     """Residual plus the adaptive tolerance max(1e-6, 3 * combined err_est)."""
     from .shuffle import shuffle_recursive
 
     for w in (u, v):
         if not w.is_admissible:
             raise NotAdmissibleError(f"{w!r} is not admissible")
-    left_u = _zeta_word(u, terms, backend)
-    left_v = _zeta_word(v, terms, backend)
-    right = zeta_of_lincomb(shuffle_recursive(u, v), terms, backend)
+    # checked here too: a pair of empty words never reaches mzv_eval
+    terms = _check_terms(terms)
+    left_u = _zeta_word(u, terms)
+    left_v = _zeta_word(v, terms)
+    right = zeta_of_lincomb(shuffle_recursive(u, v), terms)
     residual = abs(left_u.value * left_v.value - right.value)
     combined = (
         left_u.err_est * abs(left_v.value)
@@ -174,7 +127,7 @@ def identity_residual_with_bound(
     return residual, max(1e-6, 3.0 * combined)
 
 
-def _zeta_word(w, terms: int, backend: str | None) -> NumericResult:
+def _zeta_word(w, terms: int) -> NumericResult:
     if w.is_empty:
         return NumericResult(value=1.0, err_est=0.0, terms_used=0)
-    return mzv_eval(word_to_mzv(w), terms, backend)
+    return mzv_eval(word_to_mzv(w), terms)

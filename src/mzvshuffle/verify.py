@@ -16,7 +16,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from . import equivalence
@@ -177,21 +177,17 @@ def _check_oracle(point) -> str | None:
     return None
 
 
-def _check_res11(point) -> str | None:
-    if expand_res_1_1(*point) != shuffle_recursive(_run_word(*point[:2]), _run_word(*point[2:])):
-        return f"res11 mismatch at (a,r,b,s)={point}"
-    return None
+# parameter names of a one-run and a two-run word, as first and as second factor
+_RUN_NAMES = {1: ("a,r", "b,s"), 2: ("a1,r1,a2,r2", "b1,s1,b2,s2")}
 
 
-def _check_res12(point) -> str | None:
-    if expand_res_1_2(*point) != shuffle_recursive(_run_word(*point[:2]), _run_word(*point[2:])):
-        return f"res12 mismatch at (a,r,b1,s1,b2,s2)={point}"
-    return None
-
-
-def _check_res22(point) -> str | None:
-    if expand_res_2_2(*point) != shuffle_recursive(_run_word(*point[:4]), _run_word(*point[4:])):
-        return f"res22 mismatch at (a1,r1,a2,r2,b1,s1,b2,s2)={point}"
+def _check_run_product(p: int, q: int, point) -> str | None:
+    """expand_res_p_q against the oracle on the product of a p-run word
+    (the first 2p entries of the point) and a q-run word (the rest)."""
+    split = 2 * p
+    got = globals()[f"expand_res_{p}_{q}"](*point)
+    if got != shuffle_recursive(_run_word(*point[:split]), _run_word(*point[split:])):
+        return f"res{p}{q} mismatch at ({_RUN_NAMES[p][0]},{_RUN_NAMES[q][1]})={point}"
     return None
 
 
@@ -272,11 +268,16 @@ class Sweep:
     check: Callable[[object], str | None]
 
 
+def _run_product_sweep(p: int, q: int, describe: str) -> Sweep:
+    """expand_res_p_q on every product of a p-run and a q-run word."""
+    return Sweep(10, describe, lambda n: run_tuples(n, p + q), partial(_check_run_product, p, q))
+
+
 SWEEPS: dict[str, Sweep] = {
     "general": Sweep(8, "pairs of words ending in y", _general_points, _check_oracle),
-    "res11": Sweep(10, "x^a y^r . x^b y^s grids", lambda n: run_tuples(n, 2), _check_res11),
-    "res12": Sweep(10, "x^a y^r . x^b1 y^s1 x^b2 y^s2 grids", lambda n: run_tuples(n, 3), _check_res12),
-    "res22": Sweep(10, "two-run by two-run grids", lambda n: run_tuples(n, 4), _check_res22),
+    "res11": _run_product_sweep(1, 1, "x^a y^r . x^b y^s grids"),
+    "res12": _run_product_sweep(1, 2, "x^a y^r . x^b1 y^s1 x^b2 y^s2 grids"),
+    "res22": _run_product_sweep(2, 2, "two-run by two-run grids"),
     "nfold": Sweep(9, "2- and 3-fold run products", _nfold_points, _check_nfold),
     "appendixA": Sweep(
         10, "alternative x^a y^r . x^b y^s form, positive parameters",

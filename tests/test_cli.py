@@ -131,6 +131,25 @@ def test_identity_impossible_tolerance(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("terms", ["5", "1000000000000"])
+@pytest.mark.parametrize("argv", [("zeta", "2"), ("identity", "xy", "xy")], ids=["zeta", "identity"])
+def test_terms_out_of_range(capsys, argv, terms):
+    code, out, err = run_cli(capsys, *argv, "--terms", terms)
+    assert code == 3
+    assert err.startswith("error: terms must be between")
+    assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_identity_rejects_bad_tolerance(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["identity", "xy", "xy", "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    _, out, _ = run_cli(capsys, "identity", "xy", "xy", "--tol", "0")  # 0 stays valid
+    assert "(tolerance 0)" in out
+
+
 def test_verify_small_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "res11", "--max-weight", "6")
     assert code == 0

@@ -4,43 +4,27 @@ import pytest
 
 from mzvshuffle.lincomb import LinComb
 from mzvshuffle.numeric import (
-    DEFAULT_TERMS,
-    HAVE_NUMBA,
+    MAX_TERMS,
     NumericResult,
-    available_backends,
     identity_residual,
     identity_residual_with_bound,
     mzv_eval,
-    resolve_backend,
     zeta_of_lincomb,
 )
 from mzvshuffle.words import NotAdmissibleError, Word
 
-BACKENDS = available_backends()
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_zeta2_against_direct_partial_sum(backend):
+def test_zeta2_against_direct_partial_sum():
     # same-algorithm sanity: the DP at depth 1 is exactly the partial sum
     terms = 50_000
-    result = mzv_eval((2,), terms, backend=backend)
+    result = mzv_eval((2,), terms)
     direct = math.fsum(1.0 / m**2 for m in range(1, terms + 1))
     assert abs(result.value - direct) < 1e-12
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_zeta2_value_within_err(backend):
-    result = mzv_eval((2,), 100_000, backend=backend)
+def test_zeta2_value_within_err():
+    result = mzv_eval((2,), 100_000)
     assert abs(result.value - math.pi**2 / 6) <= result.err_est
-
-
-def test_backends_agree():
-    if len(BACKENDS) < 2:
-        pytest.skip("only one backend available")
-    for ks in [(2,), (3, 1), (2, 1, 1), (4, 2)]:
-        a = mzv_eval(ks, 5000, backend="numba")
-        b = mzv_eval(ks, 5000, backend="numpy")
-        assert a.value == pytest.approx(b.value, rel=1e-12, abs=1e-15)
 
 
 def test_euler_zeta21_equals_zeta3():
@@ -64,6 +48,8 @@ def test_inadmissible_and_small_m():
         mzv_eval((1, 2))
     with pytest.raises(ValueError):
         mzv_eval((2,), 8)
+    with pytest.raises(ValueError):
+        mzv_eval((2,), MAX_TERMS + 1)
 
 
 def test_monotone_refinement():
@@ -113,6 +99,9 @@ def test_identity_residual_bound():
 def test_identity_with_empty_word():
     residual, bound = identity_residual_with_bound(Word(), Word("xy"))
     assert residual <= bound
+    # no zeta value is evaluated for two empty words; the bound still applies
+    with pytest.raises(ValueError):
+        identity_residual_with_bound(Word(), Word(), MAX_TERMS + 1)
 
 
 def test_numeric_result_validation():
@@ -120,16 +109,3 @@ def test_numeric_result_validation():
         NumericResult(value=1.0, err_est=-1.0, terms_used=10)
     with pytest.raises(ValueError):
         NumericResult(value=float("inf"), err_est=0.0, terms_used=10)
-
-
-def test_resolve_backend(monkeypatch):
-    import mzvshuffle.numeric as numeric
-
-    monkeypatch.delenv(numeric.ENV_BACKEND, raising=False)
-    assert resolve_backend() == ("numba" if HAVE_NUMBA else "numpy")
-    monkeypatch.setenv(numeric.ENV_BACKEND, "numpy")
-    assert resolve_backend() == "numpy"
-    assert resolve_backend("numpy") == "numpy"
-    monkeypatch.setenv(numeric.ENV_BACKEND, "bogus")
-    with pytest.raises(ValueError):
-        resolve_backend()

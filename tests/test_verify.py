@@ -75,6 +75,25 @@ def test_jobs_match_sequential(name, bound):
     assert seq.failures == par.failures == []
 
 
+@pytest.mark.parametrize(
+    "name, expansion, first",
+    [
+        ("res11", "expand_res_1_1", "res11 mismatch at (a,r,b,s)=(0, 1, 0, 1)"),
+        ("res12", "expand_res_1_2", "res12 mismatch at (a,r,b1,s1,b2,s2)=(0, 1, 0, 1, 0, 1)"),
+        ("res22", "expand_res_2_2",
+         "res22 mismatch at (a1,r1,a2,r2,b1,s1,b2,s2)=(0, 1, 0, 1, 0, 1, 0, 1)"),
+    ],
+)
+def test_run_product_check_reports_each_point(monkeypatch, name, expansion, first):
+    # the check looks the expansion up at call time, so a stub reaches it
+    from mzvshuffle.lincomb import LinComb
+
+    monkeypatch.setattr(verify, expansion, lambda *point: LinComb.zero())
+    report = verify.run_suite(name, 8)
+    assert len(report.failures) == report.checked > 0
+    assert report.failures[0] == first
+
+
 def test_clamp_jobs(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert [verify.clamp_jobs(j) for j in (-5, 0, 1, 3, 4, 100_000)] == [1, 1, 1, 3, 4, 4]
