@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse/usage error,
-3 domain error (inadmissible words, method not applicable, ...).
+3 domain error (inadmissible words, method not applicable, a pair too long
+for the recursive oracle, ...).
 """
 
 from __future__ import annotations
@@ -106,9 +107,19 @@ def _cmd_shuffle(args) -> int:
     elif method == "permutation":
         result = shuffle_permutation(u, v)
     else:
-        result = shuffle_recursive(u, v)
+        try:
+            result = shuffle_recursive(u, v)
+        except RecursionError:
+            return _too_deep(u, v, " (try --method general)" if both_end_y else "")
     print(result.render(args.format))
     return EXIT_OK
+
+
+def _too_deep(u: Word, v: Word, hint: str = "") -> int:
+    """Report a pair that ran out of recursion depth in shuffle_recursive."""
+    print(f"error: {len(u)} + {len(v)} letters are too many for the recursive "
+          f"shuffle oracle{hint}", file=sys.stderr)
+    return EXIT_DOMAIN
 
 
 def _cmd_verify(args) -> int:
@@ -167,6 +178,8 @@ def _cmd_identity(args) -> int:
     except (NotAdmissibleError, NotInH1Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except RecursionError:
+        return _too_deep(u, v)
     bound = args.tol if args.tol is not None else adaptive
     ok = residual <= bound
     print(f"residual = {residual:.6g} (tolerance {bound:.6g}) "

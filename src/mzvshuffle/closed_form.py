@@ -37,7 +37,6 @@ from .combinat import (
     weak_composition_list,
 )
 from .lincomb import LinComb
-from .words import from_exponent_form
 
 
 def _check_exponents(exps: tuple[int, ...], name: str) -> None:
@@ -204,7 +203,7 @@ def expand_general(a: Iterable[int], b: Iterable[int]) -> LinComb:
             for head, coeff in binomial_chains(steps, total - sum(tail)):
                 key = head + tail
                 out[key] = out.get(key, 0) + coeff
-    return LinComb({from_exponent_form(alphas): c for alphas, c in out.items()})
+    return LinComb.from_exponents(out)
 
 
 def expand_euler(a: int, b: int) -> LinComb:
@@ -214,9 +213,8 @@ def expand_euler(a: int, b: int) -> LinComb:
     out = {}
     for a1 in range(a + b + 1):
         coeff = binom(a1, a) + binom(a1, b)
-        if coeff:
-            out[from_exponent_form((a1, a + b - a1))] = coeff
-    return LinComb(out)
+        out[(a1, a + b - a1)] = coeff
+    return LinComb.from_exponents(out)
 
 
 def expand_1_s(a: int, b: Iterable[int]) -> LinComb:
@@ -229,9 +227,8 @@ def expand_1_s(a: int, b: Iterable[int]) -> LinComb:
     out = {}
     for al in weak_composition_list(a + sum(b), s + 1):
         coeff = _coeff_1_s(al, a, b)
-        if coeff:
-            out[from_exponent_form(al)] = coeff
-    return LinComb(out)
+        out[al] = coeff
+    return LinComb.from_exponents(out)
 
 
 def _coeff_1_s(al: tuple[int, ...], a: int, b: tuple[int, ...]) -> int:
@@ -268,9 +265,8 @@ def expand_1_2(a: int, b1: int, b2: int) -> LinComb:
             + binom(al[0], b1) * binom(al[1], b2)
             + binom(al[0], b1) * binom(al[1], b2 - al[2])
         )
-        if coeff:
-            out[from_exponent_form(al)] = coeff
-    return LinComb(out)
+        out[al] = coeff
+    return LinComb.from_exponents(out)
 
 
 def expand_1_3(a: int, b1: int, b2: int, b3: int) -> LinComb:
@@ -283,9 +279,8 @@ def expand_1_3(a: int, b1: int, b2: int, b3: int) -> LinComb:
             * binom(al[1], b2)
             * (binom(al[2], b3) + binom(al[2], b3 - al[3]))
         )
-        if coeff:
-            out[from_exponent_form(al)] = coeff
-    return LinComb(out)
+        out[al] = coeff
+    return LinComb.from_exponents(out)
 
 
 def expand_2_2(a1: int, a2: int, b1: int, b2: int) -> LinComb:
@@ -301,9 +296,8 @@ def expand_2_2(a1: int, a2: int, b1: int, b2: int) -> LinComb:
             * binom(al[1], a1 + b1 - al[0])
             * (binom(al[2], a2) + binom(al[2], a2 - al[3]))
         )
-        if coeff:
-            out[from_exponent_form(al)] = coeff
-    return LinComb(out)
+        out[al] = coeff
+    return LinComb.from_exponents(out)
 
 
 def expand_2_3(a1: int, a2: int, b1: int, b2: int, b3: int) -> LinComb:
@@ -331,9 +325,8 @@ def expand_2_3(a1: int, a2: int, b1: int, b2: int, b3: int) -> LinComb:
             * binom(al[2], a2 + b3 - al[3] - al[4])
             * (binom(al[3], b3) + binom(al[3], b3 - al[4]))
         )
-        if coeff:
-            out[from_exponent_form(al)] = coeff
-    return LinComb(out)
+        out[al] = coeff
+    return LinComb.from_exponents(out)
 
 
 def _c33(al, a1, a2, a3, b1, b2, b3) -> int:
@@ -375,9 +368,8 @@ def expand_3_3(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> LinComb:
     out = {}
     for al in weak_composition_list(a1 + a2 + a3 + b1 + b2 + b3, 6):
         coeff = _c33(al, a1, a2, a3, b1, b2, b3) + _c33(al, b1, b2, b3, a1, a2, a3)
-        if coeff:
-            out[from_exponent_form(al)] = coeff
-    return LinComb(out)
+        out[al] = coeff
+    return LinComb.from_exponents(out)
 
 
 _SMALL_CASES = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .combinat import binom, weak_composition_list
 from .lincomb import LinComb
-from .restricted import _to_lincomb, expand_res_1_1, expand_res_1_2
+from .restricted import expand_res_1_1, expand_res_1_2
 
 
 class PositivityRequiredError(ValueError):
@@ -80,7 +80,7 @@ def expand_lgm_1_1(a: int, r: int, b: int, s: int) -> LinComb:
                 blocks.append((al[-1] + 1, r + s - l))
                 exps = _assemble(blocks)
                 out[exps] = out.get(exps, 0) + mult
-    return _to_lincomb(out)
+    return LinComb.from_exponents(out)
 
 
 def _lgm12_sum1(a, r, b1, s1, b2, s2, out):
@@ -210,7 +210,7 @@ def lgm_1_2_sum(index: int, a: int, r: int, b1: int, s1: int, b2: int, s2: int) 
     _require_positive(a=a, r=r, b1=b1, s1=s1, b2=b2, s2=s2)
     out: dict = {}
     fn(a, r, b1, s1, b2, s2, out)
-    return _to_lincomb(out)
+    return LinComb.from_exponents(out)
 
 
 def expand_lgm_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinComb:
@@ -219,7 +219,7 @@ def expand_lgm_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinCom
     out: dict = {}
     for fn in _LGM12_SUMS.values():
         fn(a, r, b1, s1, b2, s2, out)
-    return _to_lincomb(out)
+    return LinComb.from_exponents(out)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .words import Word, word_to_mzv
+from .words import Word, _admissible, _checked, _exponent_text, _order_key, _run_length
+from .words import _zeta_index, parse_word
 
 
 class LinComb:
     """A finite map word -> integer coefficient; zero coefficients are dropped.
 
-    Instances are immutable value objects: arithmetic returns new objects and
-    iteration always follows the canonical term order (length, then lex with
-    y before x).
+    Terms are keyed by letter string.  Instances are immutable value
+    objects: arithmetic returns new objects and iteration always follows the
+    canonical term order (length, then lex with y before x).
     """
 
     __slots__ = ("_terms",)
@@ -22,20 +23,28 @@ class LinComb:
         self,
         terms: Mapping[Word | str, int] | Iterable[tuple[Word | str, int]] | None = None,
     ):
-        data: dict[Word, int] = {}
+        data: dict[str, int] = {}
         if terms is not None:
             pairs = terms.items() if isinstance(terms, Mapping) else terms
             for word, coeff in pairs:
-                if not isinstance(word, Word):
-                    word = Word(word)
+                text = word.text if isinstance(word, Word) else _checked(word)
                 if not isinstance(coeff, int):
                     raise TypeError(f"coefficients must be int, got {type(coeff).__name__}")
-                total = data.get(word, 0) + coeff
-                if total:
-                    data[word] = total
-                elif word in data:
-                    del data[word]
-        self._terms = data
+                data[text] = data.get(text, 0) + coeff
+        self._terms = {text: coeff for text, coeff in data.items() if coeff}
+
+    @classmethod
+    def _adopt(cls, terms: dict[str, int]) -> "LinComb":
+        """Wrap a dict of letter strings to nonzero coefficients without copying
+        or checking it; the caller hands it over."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
+    @classmethod
+    def from_exponents(cls, terms: Mapping[tuple[int, ...], int]) -> "LinComb":
+        """The combination of x^{a_1} y ... x^{a_r} y over exponent tuples a."""
+        return cls._adopt({_exponent_text(exps): c for exps, c in terms.items() if c})
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -45,17 +54,18 @@ class LinComb:
     def term(cls, word: Word | str, coeff: int = 1) -> "LinComb":
         return cls([(word, coeff)])
 
+    def _sorted(self) -> list[tuple[str, int]]:
+        return sorted(self._terms.items(), key=lambda kv: _order_key(kv[0]))
+
     def items(self) -> list[tuple[Word, int]]:
         """Terms in canonical order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return [(Word(text), coeff) for text, coeff in self._sorted()]
 
     def words(self) -> list[Word]:
         return [w for w, _ in self.items()]
 
     def coefficient(self, word: Word | str) -> int:
-        if not isinstance(word, Word):
-            word = Word(word)
-        return self._terms.get(word, 0)
+        return self._terms.get(word.text if isinstance(word, Word) else _checked(word), 0)
 
     def coefficient_sum(self) -> int:
         return sum(self._terms.values())
@@ -76,16 +86,7 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if not isinstance(other, LinComb):
             return NotImplemented
-        data = dict(self._terms)
-        for word, coeff in other._terms.items():
-            total = data.get(word, 0) + coeff
-            if total:
-                data[word] = total
-            elif word in data:
-                del data[word]
-        out = LinComb()
-        out._terms = data
-        return out
+        return LinComb([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "LinComb":
         return self * -1
@@ -98,10 +99,9 @@ class LinComb:
     def __mul__(self, scalar: int) -> "LinComb":
         if not isinstance(scalar, int):
             return NotImplemented
-        out = LinComb()
-        if scalar:
-            out._terms = {w: c * scalar for w, c in self._terms.items()}
-        return out
+        if not scalar:
+            return LinComb()
+        return LinComb._adopt({w: c * scalar for w, c in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -109,7 +109,7 @@ class LinComb:
         return f"LinComb({self.render()!r})"
 
     def all_admissible(self) -> bool:
-        return all(w.is_admissible for w in self._terms)
+        return all(map(_admissible, self._terms))
 
     def render(self, fmt: str = "plain", *, zeta: bool | None = None) -> str:
         """Deterministic rendering in 'plain', 'latex' or 'json' form.
@@ -128,66 +128,38 @@ class LinComb:
         raise ValueError(f"unknown format {fmt!r}")
 
     def _render_plain(self) -> str:
-        items = self.items()
-        if not items:
-            return "0"
-        parts = []
-        for word, coeff in items:
-            mag = abs(coeff)
-            body = str(word) if mag == 1 else f"{mag}*{word}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+        def term(text: str, mag: int) -> str:
+            return _run_length(text) if mag == 1 else f"{mag}*{_run_length(text)}"
+
+        return self._signed(term, " + ", " - ")
 
     def _render_latex(self, zeta: bool) -> str:
-        items = self.items()
-        if not items:
-            return "0"
-        out = []
-        for word, coeff in items:
+        def term(text: str, mag: int) -> str:
+            if not text:
+                return str(mag)
             if zeta:
-                body = (
-                    "1"
-                    if word.is_empty
-                    else "\\zeta(" + ",".join(str(k) for k in word_to_mzv(word)) + ")"
-                )
+                body = "\\zeta(" + ",".join(map(str, _zeta_index(text))) + ")"
             else:
-                body = _latex_word(word)
-            mag = abs(coeff)
-            if body == "1":
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}{body}"
-            if not out:
-                out.append(text if coeff > 0 else f"-{text}")
-            else:
-                out.append(("+" if coeff > 0 else "-") + text)
-        return "".join(out)
+                body = _run_length(text, latex=True)
+            return body if mag == 1 else f"{mag}{body}"
+
+        return self._signed(term, "+", "-")
+
+    def _signed(self, term: Callable[[str, int], str], plus: str, minus: str) -> str:
+        """The terms in canonical order as term(word, |coeff|), each after its
+        sign: '-' or nothing on the first, `plus` or `minus` on the others."""
+        parts, signs = [], ("", "-")
+        for text, coeff in self._sorted():
+            parts.append(signs[coeff < 0] + term(text, abs(coeff)))
+            signs = (plus, minus)
+        return "".join(parts) or "0"
 
     def to_json_obj(self) -> dict:
         """Coefficients as decimal strings: they can exceed 64 bits."""
         return {
-            "terms": [{"word": str(w), "coeff": str(c)} for w, c in self.items()]
+            "terms": [{"word": _run_length(w), "coeff": str(c)} for w, c in self._sorted()]
         }
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "LinComb":
-        from .words import parse_word
-
         return cls([(parse_word(t["word"]), int(t["coeff"])) for t in obj["terms"]])
-
-
-def _latex_word(word: Word) -> str:
-    if word.is_empty:
-        return "1"
-    import itertools
-
-    parts = []
-    for ch, run in itertools.groupby(word.text):
-        n = sum(1 for _ in run)
-        parts.append(ch if n == 1 else f"{ch}^{{{n}}}")
-    return "".join(parts)

@@ -88,13 +88,9 @@ def zeta_of_lincomb(comb: LinComb, terms: int = DEFAULT_TERMS) -> NumericResult:
     offending = [str(w) for w, _ in comb.items() if not w.is_admissible]
     if offending:
         raise NotAdmissibleError(f"words without a zeta value: {', '.join(offending)}")
-    value = 0.0
-    err = 0.0
+    value = err = 0.0
     for word, coeff in comb.items():
-        if word.is_empty:
-            value += coeff
-            continue
-        res = mzv_eval(word_to_mzv(word), terms)
+        res = _zeta_word(word, terms)
         value += coeff * res.value
         err += abs(coeff) * res.err_est
     return NumericResult(value=value, err_est=err, terms_used=terms)

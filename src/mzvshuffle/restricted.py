@@ -18,7 +18,6 @@ from .combinat import (
     weak_composition_list,
 )
 from .lincomb import LinComb
-from .words import from_exponent_form
 
 MAX_NFOLD = 8
 
@@ -50,10 +49,6 @@ def _window(width: int, pinned: dict[int, tuple[int, bool]]) -> tuple[tuple[int,
     return tuple(pinned.get(i, (0, False)) for i in range(width - 1))
 
 
-def _to_lincomb(out: dict) -> LinComb:
-    return LinComb({from_exponent_form(e): c for e, c in out.items() if c})
-
-
 def _check_run(a: int, r: int) -> None:
     if a < 0:
         raise ValueError(f"x-exponent must be nonnegative, got {a}")
@@ -71,7 +66,7 @@ def expand_res_1_1(a: int, r: int, b: int, s: int) -> LinComb:
     out: dict = {}
     _res_1_1_half(a, r, b, s, out)
     _res_1_1_half(b, s, a, r, out)
-    return _to_lincomb(out)
+    return LinComb.from_exponents(out)
 
 
 def _res_1_1_half(a: int, r: int, b: int, s: int, out: dict) -> None:
@@ -176,7 +171,7 @@ def res_1_2_case(case: str, a: int, r: int, b1: int, s1: int, b2: int, s2: int) 
     _check_run(b2, s2)
     out: dict = {}
     fn(a, r, b1, s1, b2, s2, out)
-    return _to_lincomb(out)
+    return LinComb.from_exponents(out)
 
 
 def expand_res_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinComb:
@@ -186,7 +181,7 @@ def expand_res_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinCom
     out: dict = {}
     for fn in _RES12_CASES.values():
         fn(a, r, b1, s1, b2, s2, out)
-    return _to_lincomb(out)
+    return LinComb.from_exponents(out)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +453,7 @@ def res_2_2_case(
         _check_run(a, r)
     out: dict = {}
     fn(a1, r1, a2, r2, b1, s1, b2, s2, out)
-    return _to_lincomb(out)
+    return LinComb.from_exponents(out)
 
 
 def expand_res_2_2(
@@ -470,7 +465,7 @@ def expand_res_2_2(
     for fn in _RES22_CASES.values():
         fn(a1, r1, a2, r2, b1, s1, b2, s2, out)
         fn(b1, s1, b2, s2, a1, r1, a2, r2, out)
-    return _to_lincomb(out)
+    return LinComb.from_exponents(out)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +488,7 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
     n = len(pairs)
     if n == 1:
         a, r = pairs[0]
-        return LinComb({from_exponent_form((a,) + (0,) * (r - 1)): 1})
+        return LinComb.from_exponents({(a,) + (0,) * (r - 1): 1})
     big_r = sum(r for _, r in pairs)
     big_a = sum(a for a, _ in pairs)
     out: dict = {}
@@ -520,7 +515,7 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
                         break
                 if xcoef:
                     _add(out, alphas + tail, ycoef * xcoef)
-    return _to_lincomb(out)
+    return LinComb.from_exponents(out)
 
 
 def expand_nfold_depth1(exps: Iterable[int]) -> LinComb:
@@ -547,4 +542,4 @@ def expand_nfold_depth1(exps: Iterable[int]) -> LinComb:
             coeff += prod
         if coeff:
             out[alphas] = coeff
-    return _to_lincomb(out)
+    return LinComb.from_exponents(out)

@@ -9,7 +9,7 @@ either one.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .lincomb import LinComb
 from .words import Word
@@ -48,7 +48,7 @@ def _shuffle_raw(su: str, sv: str) -> dict[str, int]:
 
 def shuffle_recursive(u: Word, v: Word) -> LinComb:
     """Shuffle product via the recursive rules aw1 . bw2 = a(w1.bw2) + b(aw1.w2)."""
-    return LinComb(_shuffle_raw(u.text, v.text))
+    return LinComb._adopt(_shuffle_raw(u.text, v.text))
 
 
 def shuffle_permutation(u: Word, v: Word) -> LinComb:
@@ -73,16 +73,22 @@ def shuffle_permutation(u: Word, v: Word) -> LinComb:
     return LinComb(counts)
 
 
+def _fold(texts: Sequence[str], shuffle=_shuffle_raw) -> dict[str, int]:
+    """Left fold of `shuffle`, the oracle unless given, over a nonempty
+    sequence of letter strings."""
+    acc: dict[str, int] = {texts[0]: 1}
+    for text in texts[1:]:
+        nxt: dict[str, int] = {}
+        for partial, coeff in acc.items():
+            for word, mult in shuffle(partial, text).items():
+                nxt[word] = nxt.get(word, 0) + coeff * mult
+        acc = nxt
+    return acc
+
+
 def shuffle_nfold(words: Iterable[Word]) -> LinComb:
     """Left fold of shuffle_recursive over a nonempty list of words."""
     texts = [w.text for w in words]
     if not texts:
         raise ValueError("shuffle_nfold needs at least one word")
-    acc: dict[str, int] = {texts[0]: 1}
-    for text in texts[1:]:
-        nxt: dict[str, int] = {}
-        for partial, coeff in acc.items():
-            for word, mult in _shuffle_raw(partial, text).items():
-                nxt[word] = nxt.get(word, 0) + coeff * mult
-        acc = nxt
-    return LinComb(acc)
+    return LinComb._adopt(_fold(texts))

@@ -39,8 +39,8 @@ from .restricted import (
     expand_res_1_2,
     expand_res_2_2,
 )
-from .shuffle import _shuffle_raw, shuffle_nfold, shuffle_permutation, shuffle_recursive
-from .words import Word, from_exponent_form
+from .shuffle import _fold, _shuffle_raw, shuffle_nfold, shuffle_permutation, shuffle_recursive
+from .words import Word, _admissible, from_exponent_form
 
 DEFAULT_WEIGHT_CAP = 10
 ENV_WEIGHT_CAP = "MZV_MAX_WEIGHT"
@@ -220,8 +220,7 @@ def _check_shuffle_properties(pair) -> str | None:
     in_h1 = (not ua or ua.endswith("y")) and (not ub or ub.endswith("y"))
     if in_h1 and any(word and not word.endswith("y") for word in fwd):
         return f"h1 closure fails for {ua!r},{ub!r}"
-    admissible = Word(ua).is_admissible and Word(ub).is_admissible
-    if admissible and not all(Word(word).is_admissible for word in fwd):
+    if _admissible(ua) and _admissible(ub) and not all(map(_admissible, fwd)):
         return f"h0 closure fails for {ua!r},{ub!r}"
     return None
 
@@ -232,14 +231,6 @@ def _shuffle_memo(u: str, v: str) -> dict[str, int]:
     return _shuffle_raw(u, v)
 
 
-def _fold(u: str, v: str, outer: str) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for word, coeff in _shuffle_memo(u, v).items():
-        for word2, mult in _shuffle_memo(word, outer).items():
-            out[word2] = out.get(word2, 0) + coeff * mult
-    return out
-
-
 def _check_associativity(triple) -> str | None:
     """(u . v) . w independent of grouping and of which factor sits outside.
 
@@ -247,9 +238,10 @@ def _check_associativity(triple) -> str | None:
     orderings of each triple to the three choices of outer factor.
     """
     ua, ub, uc = triple
-    first = _fold(ua, ub, uc)
-    if first != _fold(ua, uc, ub) or first != _fold(ub, uc, ua):
-        return f"associativity fails for {ua!r},{ub!r},{uc!r}"
+    first = _fold((ua, ub, uc), _shuffle_memo)
+    for order in ((ua, uc, ub), (ub, uc, ua)):
+        if _fold(order, _shuffle_memo) != first:
+            return f"associativity fails for {ua!r},{ub!r},{uc!r}"
     return None
 
 

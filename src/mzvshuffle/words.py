@@ -9,7 +9,7 @@ the zeta index (a_1 + 1, ..., a_r + 1), whose first entry is >= 2.
 from __future__ import annotations
 
 import enum
-import itertools
+import re
 from typing import Iterable, Iterator
 
 DEFAULT_EXPONENT_CAP = 10**6
@@ -17,6 +17,7 @@ DEFAULT_EXPONENT_CAP = 10**6
 # Canonical term order sorts y before x, which matches lexicographic order on
 # exponent forms and zeta indices (so xyxy sorts before x^2y^2).
 _ORDER_TR = str.maketrans("xy", "ba")
+_LONG_RUN = re.compile(r"([xy])\1+")
 
 
 class WordSyntaxError(ValueError):
@@ -45,6 +46,48 @@ class NotAdmissibleError(ValueError):
     """The word or index does not correspond to a convergent zeta value."""
 
 
+# ---------------------------------------------------------------------------
+# letter strings: the one term key of the package.  Word and LinComb wrap
+# these; the oracles and the closed forms produce them directly.
+
+
+def _checked(text: str) -> str:
+    """`text`, after checking that its letters are x and y."""
+    # strip stops at the first other letter, so only a letter string strips
+    # to nothing
+    if text.strip("xy"):
+        raise ValueError(f"word letters must be 'x' or 'y', got {text!r}")
+    return text
+
+
+def _order_key(text: str) -> tuple[int, str]:
+    """Canonical order: by length, then lexicographically with y before x."""
+    return (len(text), text.translate(_ORDER_TR))
+
+
+def _run_length(text: str, latex: bool = False) -> str:
+    """'xxxyxyy' -> 'x^3yxy^2', or 'x^{3}yxy^{2}' in latex; '1' if empty."""
+    if not text:
+        return "1"
+    power = "{}^{{{}}}" if latex else "{}^{}"
+    return _LONG_RUN.sub(lambda run: power.format(run[1], len(run[0])), text)
+
+
+def _admissible(text: str) -> bool:
+    return not text or (text[0] == "x" and text[-1] == "y")
+
+
+def _exponent_text(exps: Iterable[int]) -> str:
+    """(a_1, ..., a_r) -> the letters of x^{a_1} y ... x^{a_r} y."""
+    return "".join("x" * a + "y" for a in exps)
+
+
+def _zeta_index(text: str) -> tuple[int, ...]:
+    if not text or not _admissible(text):
+        raise NotAdmissibleError(f"{text!r} does not define a zeta index")
+    return tuple(len(run) + 1 for run in text.split("y")[:-1])
+
+
 class Letter(enum.Enum):
     X = "x"
     Y = "y"
@@ -63,13 +106,9 @@ class Word:
     __slots__ = ("_text",)
 
     def __init__(self, letters: str | Iterable[Letter] = ""):
-        if isinstance(letters, str):
-            text = letters
-        else:
-            text = "".join(letter.value for letter in letters)
-        if text and set(text) - {"x", "y"}:
-            raise ValueError(f"word letters must be 'x' or 'y', got {text!r}")
-        self._text = text
+        if not isinstance(letters, str):
+            letters = "".join(letter.value for letter in letters)
+        self._text = _checked(letters)
 
     @property
     def text(self) -> str:
@@ -100,12 +139,10 @@ class Word:
     @property
     def is_admissible(self) -> bool:
         """True iff empty, or starting with x and ending with y."""
-        if not self._text:
-            return True
-        return self._text[0] == "x" and self._text[-1] == "y"
+        return _admissible(self._text)
 
     def sort_key(self) -> tuple[int, str]:
-        return (len(self._text), self._text.translate(_ORDER_TR))
+        return _order_key(self._text)
 
     def __len__(self) -> int:
         return len(self._text)
@@ -130,13 +167,7 @@ class Word:
         return f"Word({self._text!r})"
 
     def __str__(self) -> str:
-        if not self._text:
-            return "1"
-        parts = []
-        for ch, run in itertools.groupby(self._text):
-            n = sum(1 for _ in run)
-            parts.append(ch if n == 1 else f"{ch}^{n}")
-        return "".join(parts)
+        return _run_length(self._text)
 
 
 EMPTY_WORD = Word()
@@ -197,14 +228,12 @@ def from_exponent_form(exps: Iterable[int]) -> Word:
         raise ValueError("exponent form needs at least one entry")
     if any(a < 0 for a in exps):
         raise ValueError(f"exponents must be nonnegative, got {exps}")
-    return Word("".join("x" * a + "y" for a in exps))
+    return Word(_exponent_text(exps))
 
 
 def word_to_mzv(word: Word) -> tuple[int, ...]:
     """Zeta index (k_1, ..., k_n) of a nonempty admissible word."""
-    if word.is_empty or not word.is_admissible:
-        raise NotAdmissibleError(f"{word!r} does not define a zeta index")
-    return tuple(a + 1 for a in to_exponent_form(word))
+    return _zeta_index(word.text)
 
 
 def mzv_to_word(ks: Iterable[int]) -> Word:

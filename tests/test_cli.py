@@ -55,6 +55,25 @@ def test_shuffle_auto_deep_pair_runs_the_closed_form(capsys):
     assert out == want
 
 
+# pairs deeper than shuffle_recursive's one call per letter can go; the
+# hint names the closed form when both words end in y
+DEEP_PAIRS = [
+    pytest.param(("shuffle", "x^1200 y", "x"), False, id="shuffle-auto"),
+    pytest.param(("shuffle", "y^1200", "y", "--method", "recursive"), True, id="shuffle-h1"),
+    pytest.param(("shuffle", "x^1200", "y", "--method", "recursive"), False, id="shuffle-not-h1"),
+    pytest.param(("identity", "x^1200 y", "xy"), False, id="identity"),
+]
+
+
+@pytest.mark.parametrize("argv,hint", DEEP_PAIRS)
+def test_too_deep_for_the_oracle_exits_3(capsys, argv, hint):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "too many for the recursive shuffle oracle" in err
+    assert ("--method general" in err) == hint
+
+
 def test_shuffle_general_rejects_non_h1(capsys):
     code, _, err = run_cli(capsys, "shuffle", "xy", "yx", "--method", "general")
     assert code == 3

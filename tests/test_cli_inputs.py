@@ -1,0 +1,80 @@
+"""Bounded random inputs to the CLI: every call ends in an exit code from 0
+to 3, never in an exception."""
+
+import contextlib
+import io
+
+from hypothesis import assume, example, given, settings, strategies as st
+
+from mzvshuffle.cli import main
+from mzvshuffle.words import parse_word
+
+MAX_LETTERS = 12  # parsed letters per word
+# shuffle_permutation enumerates C(n+m, n) interleavings and expand_general
+# builds about as many block layouts, so their pairs get fewer letters
+SMALL_PAIR = 12
+
+letter = st.sampled_from("xy") | st.builds("{}^{}".format, st.sampled_from("xy"), st.integers(0, 4))
+piece = letter | st.sampled_from(["1", " "])
+junk = st.sampled_from("^z*#")
+
+
+def parsed_letters(text: str) -> int:
+    try:
+        return len(parse_word(text))
+    except ValueError:
+        return 0
+
+
+@st.composite
+def word_texts(draw):
+    """A word expression of at most MAX_LETTERS parsed letters, with one
+    junk character in about half of them."""
+    text = "".join(draw(st.lists(piece, max_size=8)))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(junk) + text[at:]
+    assume(parsed_letters(text) <= MAX_LETTERS)
+    return text
+
+
+def exit_code(argv: list[str]) -> int:
+    """main(argv) with its output discarded; argparse's exit counts as a code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    word_texts(),
+    word_texts(),
+    st.sampled_from(["recursive", "permutation", "general", "auto"]),
+    st.sampled_from(["plain", "latex", "json"]),
+)
+# Pairs too deep for the recursive oracle.  Hypothesis raises the recursion
+# limit by 2,000 frames while a test runs, so these are longer than the
+# 1,000-letter pairs that fail at the default limit (see test_cli).
+@example("x^4000 y", "x", "auto", "plain")
+@example("y^4000", "y", "recursive", "json")
+@example("x^4000", "y", "recursive", "latex")
+def test_shuffle_exits_with_a_code(u, v, method, fmt):
+    if method in ("permutation", "general"):
+        assume(parsed_letters(u) + parsed_letters(v) <= SMALL_PAIR)
+    assert exit_code(["shuffle", u, v, "--method", method, "--format", fmt]) in (0, 1, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_texts(), word_texts(), st.integers(1, 64))
+@example("x^4000 y", "xy", 64)
+def test_identity_exits_with_a_code(u, v, terms):
+    assert exit_code(["identity", u, v, "--terms", str(terms)]) in (0, 1, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=4), st.none() | junk, st.integers(1, 64))
+def test_zeta_exits_with_a_code(index, bad, terms):
+    text = ",".join(map(str, index)) + (bad or "")
+    assert exit_code(["zeta", text, "--terms", str(terms)]) in (0, 1, 2, 3)

@@ -50,6 +50,37 @@ def test_render_latex_zeta_mode():
     assert q.render("latex", zeta=False) == "yx+2x^{2}y^{2}"
 
 
+def test_render_literals():
+    # long runs, the empty word and a coefficient beyond 64 bits, in all
+    # three formats; each string is the output of the Word-keyed printer
+    p = LinComb({"": 3, "x" * 10 + "y": -1, "yx": 2**70})
+    assert p.render() == "3*1 + 1180591620717411303424*yx - x^10y"
+    assert p.render("latex", zeta=False) == "3+1180591620717411303424yx-x^{10}y"
+    assert p.render("json") == (
+        '{"terms": [{"word": "1", "coeff": "3"}, '
+        '{"word": "yx", "coeff": "1180591620717411303424"}, '
+        '{"word": "x^10y", "coeff": "-1"}]}'
+    )
+    q = LinComb({"": -3, "x" * 10 + "y": 1})
+    assert q.render() == "-3*1 + x^10y"
+    assert q.render("latex") == "-3+\\zeta(11)"
+
+
+def test_string_and_word_keys_agree():
+    p = LinComb({"xxy": 2, Word("yx"): -1})
+    assert p == LinComb({Word("xxy"): 2, "yx": -1})
+    assert p.coefficient("xxy") == p.coefficient(Word("xxy")) == 2
+    assert p.items() == [(Word("yx"), -1), (Word("xxy"), 2)]
+    assert p.words() == [Word("yx"), Word("xxy")]
+
+
+def test_string_keys_are_checked():
+    with pytest.raises(ValueError, match="word letters must be 'x' or 'y', got 'x\\^2y'"):
+        LinComb({"x^2y": 1})
+    with pytest.raises(ValueError):
+        LinComb.zero().coefficient("xz")
+
+
 def test_render_latex_explicit_zeta_on_bad_words():
     from mzvshuffle.words import NotAdmissibleError
 
