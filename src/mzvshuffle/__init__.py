@@ -22,6 +22,13 @@ from .equivalence import (
     lgm_1_2_sum,
 )
 from .lincomb import LinComb
+from .numeric import (
+    NumericResult,
+    identity_residual,
+    identity_residual_with_bound,
+    mzv_eval,
+    zeta_of_lincomb,
+)
 from .restricted import (
     expand_nfold,
     expand_nfold_depth1,
@@ -51,20 +58,3 @@ from .words import (
 )
 
 __version__ = "0.1.0"
-
-_NUMERIC_NAMES = {
-    "NumericResult",
-    "mzv_eval",
-    "zeta_of_lincomb",
-    "identity_residual",
-    "identity_residual_with_bound",
-}
-
-
-def __getattr__(name):
-    # the numeric module pulls in numpy; load it only on demand
-    if name in _NUMERIC_NAMES:
-        from . import numeric
-
-        return getattr(numeric, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,6 +31,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
+_TERMS_HELP = (
+    "accepted from 16 to 10^7 but no longer changes the value, which is computed "
+    "at a fixed precision with a proven error bound"
+)
+
 
 def _tolerance(text: str) -> float:
     """argparse type of --tol: a finite float >= 0."""
@@ -68,13 +73,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_zeta = sub.add_parser("zeta", help="evaluate a multiple zeta value numerically")
     p_zeta.add_argument("index", help="comma-separated positive integers, e.g. 3,1")
-    p_zeta.add_argument("--terms", type=int, default=None)
+    p_zeta.add_argument("--terms", type=int, default=None, help=_TERMS_HELP)
 
     p_identity = sub.add_parser("identity", help="numeric check of zeta(u)zeta(v) = zeta(u.v)")
     p_identity.add_argument("word1")
     p_identity.add_argument("word2")
-    p_identity.add_argument("--tol", type=_tolerance, default=None)
-    p_identity.add_argument("--terms", type=int, default=None)
+    p_identity.add_argument(
+        "--tol",
+        type=_tolerance,
+        default=None,
+        help="pass when the residual is at most this; by default, the proven "
+        "bound on the error the evaluation can carry into the residual",
+    )
+    p_identity.add_argument("--terms", type=int, default=None, help=_TERMS_HELP)
 
     return parser
 
