@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse/usage error,
-3 domain error (inadmissible words, method not applicable, a pair too long
-for the recursive oracle, ...).
+3 domain error (inadmissible words, method not applicable, a pair of more
+than ORACLE_MAX_LETTERS letters for the shuffle oracle, ...).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,6 +32,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
+# Letters of a pair the shuffle oracle takes; its output has up to
+# C(n+m, n) words of n+m letters.  Longer pairs are refused before any work.
+ORACLE_MAX_LETTERS = 500
+
 _TERMS_HELP = (
     "accepted from 16 to 10^7 but no longer changes the value, which is computed "
     "at a fixed precision with a proven error bound"
@@ -45,6 +50,7 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mzvshuffle",
@@ -59,9 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("recursive", "permutation", "general", "auto"),
         default="auto",
-        help="auto (the default) runs the memoized recursion, and the closed form "
-        "instead when the words are too long for the recursion depth and both end "
-        "in y; general runs the closed form and needs both words ending in y",
+        help=f"recursive refuses pairs of more than {ORACLE_MAX_LETTERS} letters; auto "
+        "(the default) runs general on those if both words end in y, else recursive; "
+        "general runs the closed form and needs both words ending in y",
     )
     p_shuffle.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
 
@@ -90,10 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _recursion_fits(u: Word, v: Word) -> bool:
-    """Whether shuffle_recursive, which nests one call per letter, stays well
-    inside the interpreter's recursion limit on these words."""
-    return len(u) + len(v) <= sys.getrecursionlimit() // 2
+def _oracle_refusal(u: Word, v: Word) -> str | None:
+    """Why the shuffle oracle refuses this pair, or None when it takes it."""
+    if len(u) + len(v) <= ORACLE_MAX_LETTERS:
+        return None
+    return (f"{len(u)} + {len(v)} letters are too many for the recursive shuffle "
+            f"oracle, which takes at most {ORACLE_MAX_LETTERS}")
 
 
 def _cmd_shuffle(args) -> int:
@@ -104,9 +112,10 @@ def _cmd_shuffle(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     both_end_y = u.ends_with_y and v.ends_with_y
+    refusal = _oracle_refusal(u, v)
     method = args.method
     if method == "auto":
-        method = "recursive" if _recursion_fits(u, v) or not both_end_y else "general"
+        method = "general" if refusal and both_end_y else "recursive"
     if method == "general":
         if not both_end_y:
             print(
@@ -117,20 +126,14 @@ def _cmd_shuffle(args) -> int:
         result = expand_general(to_exponent_form(u), to_exponent_form(v))
     elif method == "permutation":
         result = shuffle_permutation(u, v)
+    elif refusal:
+        hint = " (try --method general)" if both_end_y else ""
+        print(f"error: {refusal}{hint}", file=sys.stderr)
+        return EXIT_DOMAIN
     else:
-        try:
-            result = shuffle_recursive(u, v)
-        except RecursionError:
-            return _too_deep(u, v, " (try --method general)" if both_end_y else "")
+        result = shuffle_recursive(u, v)
     print(result.render(args.format))
     return EXIT_OK
-
-
-def _too_deep(u: Word, v: Word, hint: str = "") -> int:
-    """Report a pair that ran out of recursion depth in shuffle_recursive."""
-    print(f"error: {len(u)} + {len(v)} letters are too many for the recursive "
-          f"shuffle oracle{hint}", file=sys.stderr)
-    return EXIT_DOMAIN
 
 
 def _cmd_verify(args) -> int:
@@ -183,14 +186,15 @@ def _cmd_identity(args) -> int:
     except (WordSyntaxError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if refusal := _oracle_refusal(u, v):  # the residual needs the oracle's product
+        print(f"error: {refusal}", file=sys.stderr)
+        return EXIT_DOMAIN
     terms = args.terms if args.terms is not None else numeric.DEFAULT_TERMS
     try:
         residual, adaptive = numeric.identity_residual_with_bound(u, v, terms)
     except (NotAdmissibleError, NotInH1Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except RecursionError:
-        return _too_deep(u, v)
     bound = args.tol if args.tol is not None else adaptive
     ok = residual <= bound
     print(f"residual = {residual:.6g} (tolerance {bound:.6g}) "

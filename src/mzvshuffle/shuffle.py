@@ -1,9 +1,9 @@
 """Ground-truth shuffle products.
 
-Two structurally independent implementations: a memoized recursion on the
-defining rules, and a direct enumeration of order-preserving interleavings.
-They share no code, so agreement between them catches transcription bugs in
-either one.
+Two structurally independent implementations: the defining rules
+aw1 . bw2 = a(w1 . bw2) + b(aw1 . w2), applied bottom-up over suffix pairs,
+and a direct enumeration of order-preserving interleavings.  They share no
+code, so agreement between them catches transcription bugs in either one.
 """
 
 from __future__ import annotations
@@ -18,36 +18,32 @@ from .words import Word
 def _shuffle_raw(su: str, sv: str) -> dict[str, int]:
     """Shuffle of two letter strings as a dict word-string -> coefficient.
 
-    Memoized on suffix index pairs; the memo is private to this call.
+    Walks the suffixes su[i:] from the empty one up and keeps one row:
+    row[j] is su[i:] . sv[j:], built from row[j] of the step before (the
+    rule's first summand) and row[j + 1] of this step (its second).  No
+    call nests, and memory holds len(sv) + 1 products, not all of them.
     """
-    nu, nv = len(su), len(sv)
-    memo: dict[tuple[int, int], dict[str, int]] = {}
-
-    def rec(i: int, j: int) -> dict[str, int]:
-        if i == nu:
-            return {sv[j:]: 1}
-        if j == nv:
-            return {su[i:]: 1}
-        key = (i, j)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out: dict[str, int] = {}
-        ci, cj = su[i], sv[j]
-        for word, coeff in rec(i + 1, j).items():
-            merged = ci + word
-            out[merged] = out.get(merged, 0) + coeff
-        for word, coeff in rec(i, j + 1).items():
-            merged = cj + word
-            out[merged] = out.get(merged, 0) + coeff
-        memo[key] = out
-        return out
-
-    return rec(0, 0)
+    nv = len(sv)
+    row = [{sv[j:]: 1} for j in range(nv + 1)]
+    for i in range(len(su) - 1, -1, -1):
+        ci = su[i]
+        row[nv] = {su[i:]: 1}
+        for j in range(nv - 1, -1, -1):
+            # the first summand's words are distinct, so no sum is needed yet
+            out = {ci + word: coeff for word, coeff in row[j].items()}
+            for word, coeff in row[j + 1].items():
+                merged = sv[j] + word
+                out[merged] = out.get(merged, 0) + coeff
+            row[j] = out
+    return row[0]
 
 
 def shuffle_recursive(u: Word, v: Word) -> LinComb:
-    """Shuffle product via the recursive rules aw1 . bw2 = a(w1.bw2) + b(aw1.w2)."""
+    """Shuffle product by the defining rules aw1 . bw2 = a(w1.bw2) + b(aw1.w2).
+
+    Named for those recursive rules, not its control flow: `_shuffle_raw`
+    applies them bottom-up, so no recursion limit bounds the words.
+    """
     return LinComb._adopt(_shuffle_raw(u.text, v.text))
 
 

@@ -1,4 +1,6 @@
+import inspect
 import json
+import sys
 import time
 
 import pytest
@@ -49,20 +51,29 @@ def test_shuffle_auto_runs_the_oracle(capsys, monkeypatch):
 
 
 def test_shuffle_auto_deep_pair_runs_the_closed_form(capsys):
-    # 1,204 letters: deeper than the recursion limit lets shuffle_recursive go
-    code, out, _ = run_cli(capsys, "shuffle", "x^1200 y", "xy")
-    assert code == 0
-    _, want, _ = run_cli(capsys, "shuffle", "x^1200 y", "xy", "--method", "general")
-    assert out == want
+    # 1,204 and 501 letters: more than the shuffle oracle takes
+    for u, v in (("x^1200 y", "xy"), ("y^500", "y")):
+        code, out, _ = run_cli(capsys, "shuffle", u, v)
+        assert code == 0
+        _, want, _ = run_cli(capsys, "shuffle", u, v, "--method", "general")
+        assert out == want
 
 
-# pairs deeper than shuffle_recursive's one call per letter can go; the
-# hint names the closed form when both words end in y
+# pairs of more than ORACLE_MAX_LETTERS letters, refused before the oracle
+# runs; the hint names the closed form when both words end in y
 DEEP_PAIRS = [
     pytest.param(("shuffle", "x^1200 y", "x"), False, id="shuffle-auto"),
     pytest.param(("shuffle", "y^1200", "y", "--method", "recursive"), True, id="shuffle-h1"),
     pytest.param(("shuffle", "x^1200", "y", "--method", "recursive"), False, id="shuffle-not-h1"),
     pytest.param(("identity", "x^1200 y", "xy"), False, id="identity"),
+    # 802 letters: the product would fill gigabytes
+    pytest.param(
+        ("shuffle", "x^400 y", "x^400 y", "--method", "recursive"), True, id="shuffle-802"
+    ),
+    # one letter past the limit
+    pytest.param(("shuffle", "y^500", "y", "--method", "recursive"), True, id="shuffle-501"),
+    pytest.param(("shuffle", "y^500", "x"), False, id="shuffle-auto-501"),
+    pytest.param(("identity", "x^498 y", "xy"), False, id="identity-501"),
 ]
 
 
@@ -73,6 +84,27 @@ def test_too_deep_for_the_oracle_exits_3(capsys, argv, hint):
     assert out == ""
     assert "too many for the recursive shuffle oracle" in err
     assert ("--method general" in err) == hint
+
+
+@pytest.mark.parametrize("u,v,method", [("y^499", "y", "recursive"), ("y^499", "x", "auto")])
+def test_oracle_takes_500_letters(capsys, u, v, method):
+    code, out, _ = run_cli(capsys, "shuffle", u, v, "--method", method)
+    assert code == 0
+    # 500 interleavings: cheap for the enumeration too
+    assert out == run_cli(capsys, "shuffle", u, v, "--method", "permutation")[1]
+
+
+def test_shuffle_does_not_depend_on_the_recursion_limit(capsys):
+    argv = ("shuffle", "y^450", "y^40", "--method", "recursive")
+    want = run_cli(capsys, *argv)
+    assert want[0] == 0
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(len(inspect.stack()) + 200)
+        got = run_cli(capsys, *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 def test_shuffle_general_rejects_non_h1(capsys):

@@ -54,12 +54,12 @@ def exit_code(argv: list[str]) -> int:
     st.sampled_from(["recursive", "permutation", "general", "auto"]),
     st.sampled_from(["plain", "latex", "json"]),
 )
-# Pairs too deep for the recursive oracle.  Hypothesis raises the recursion
-# limit by 2,000 frames while a test runs, so these are longer than the
-# 1,000-letter pairs that fail at the default limit (see test_cli).
+# Pairs of more than cli.ORACLE_MAX_LETTERS letters, which the shuffle
+# oracle refuses before any work (see test_cli).
 @example("x^4000 y", "x", "auto", "plain")
 @example("y^4000", "y", "recursive", "json")
 @example("x^4000", "y", "recursive", "latex")
+@example("x^400 y", "x^400 y", "recursive", "plain")
 def test_shuffle_exits_with_a_code(u, v, method, fmt):
     if method in ("permutation", "general"):
         assume(parsed_letters(u) + parsed_letters(v) <= SMALL_PAIR)
