@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse/usage error,
-3 domain error (inadmissible words, method not applicable, a pair of more
-than ORACLE_MAX_LETTERS letters for the shuffle oracle, ...).
+3 domain error (inadmissible words, method not applicable, a pair past one
+of a shuffle method's limits below, ...).
 """
 
 from __future__ import annotations
@@ -32,9 +32,15 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
-# Letters of a pair the shuffle oracle takes; its output has up to
-# C(n+m, n) words of n+m letters.  Longer pairs are refused before any work.
+# Limits of the shuffle methods, each tested by _refusal before any work, for
+# words of n and m letters with r and s y's.  The oracle's output has up to
+# C(n+m, n) words of n+m letters.  The enumeration visits C(n+m, n)
+# interleavings.  The closed form walks C(r+s, r) y-block layouts, and its
+# output words have L = n+m letters, end in y and hold all Y = r+s y's.
 ORACLE_MAX_LETTERS = 500
+PERMUTATION_MAX_INTERLEAVINGS = 10**6
+GENERAL_MAX_LAYOUTS = 10**5
+GENERAL_MAX_LETTERS = 10**8
 
 _TERMS_HELP = (
     "accepted from 16 to 10^7 but no longer changes the value, which is computed "
@@ -67,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=f"recursive refuses pairs of more than {ORACLE_MAX_LETTERS} letters; auto "
         "(the default) runs general on those if both words end in y, else recursive; "
-        "general runs the closed form and needs both words ending in y",
+        "general runs the closed form and needs both words ending in y; permutation "
+        "and general refuse pairs past their work limits",
     )
     p_shuffle.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
 
@@ -96,12 +103,59 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_refusal(u: Word, v: Word) -> str | None:
-    """Why the shuffle oracle refuses this pair, or None when it takes it."""
-    if len(u) + len(v) <= ORACLE_MAX_LETTERS:
-        return None
-    return (f"{len(u)} + {len(v)} letters are too many for the recursive shuffle "
-            f"oracle, which takes at most {ORACLE_MAX_LETTERS}")
+def _binomial_capped(n: int, k: int, cap: int) -> int:
+    """C(n, k) if it is at most cap, else some number above cap.
+
+    For 0 <= k <= n.  C(n, i) grows with i up to n/2 and is at least 2^i
+    there, so this takes at most about log2(cap) steps, however large n is.
+    """
+    out = 1
+    for i in range(min(k, n - k)):
+        if out > cap:
+            break
+        out = out * (n - i) // (i + 1)
+    return out
+
+
+def _general_layouts(r: int, s: int) -> int:
+    """C(r+s, r), the y-block layouts the closed form walks for y-counts r
+    and s, or some number above GENERAL_MAX_LAYOUTS."""
+    return _binomial_capped(r + s, r, GENERAL_MAX_LAYOUTS)
+
+
+def _general_letters(n: int, m: int, ys: int) -> int:
+    """min(C(L-1, Y-1), C(L, n)) * L for L = n+m letters and Y = ys y's, a
+    bound on the letters the closed form prints, or some number above
+    GENERAL_MAX_LETTERS."""
+    size = n + m
+    cap = GENERAL_MAX_LETTERS // size
+    return size * min(_binomial_capped(size - 1, ys - 1, cap), _binomial_capped(size, n, cap))
+
+
+def _refusal(method: str, u: Word, v: Word) -> str | None:
+    """Why `method` refuses to shuffle u and v, or None when it takes them."""
+    n, m = len(u), len(v)
+    if method == "recursive":
+        if n + m > ORACLE_MAX_LETTERS:
+            return (f"{n} + {m} letters are too many for the recursive shuffle "
+                    f"oracle, which takes at most {ORACLE_MAX_LETTERS}")
+    elif method == "permutation":
+        limit = PERMUTATION_MAX_INTERLEAVINGS
+        if _binomial_capped(n + m, n, limit) > limit:
+            return (f"C({n + m}, {n}) interleavings are too many for the permutation "
+                    f"enumeration, which takes at most {PERMUTATION_MAX_INTERLEAVINGS}")
+    elif not (u.ends_with_y and v.ends_with_y):
+        return "the general closed form needs both words nonempty and ending in y"
+    else:
+        r, s = u.y_count, v.y_count
+        if _general_layouts(r, s) > GENERAL_MAX_LAYOUTS:
+            return (f"C({r + s}, {r}) y-block layouts are too many for the general "
+                    f"closed form, which takes at most {GENERAL_MAX_LAYOUTS}")
+        if _general_letters(n, m, r + s) > GENERAL_MAX_LETTERS:
+            return (f"min(C({n + m - 1}, {r + s - 1}), C({n + m}, {n})) words of {n + m} "
+                    f"letters may be too many for the general closed form, which prints "
+                    f"at most {GENERAL_MAX_LETTERS} letters")
+    return None
 
 
 def _cmd_shuffle(args) -> int:
@@ -111,25 +165,19 @@ def _cmd_shuffle(args) -> int:
     except (WordSyntaxError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    both_end_y = u.ends_with_y and v.ends_with_y
-    refusal = _oracle_refusal(u, v)
     method = args.method
     if method == "auto":
-        method = "general" if refusal and both_end_y else "recursive"
+        closed_form = _refusal("recursive", u, v) and u.ends_with_y and v.ends_with_y
+        method = "general" if closed_form else "recursive"
+    if refusal := _refusal(method, u, v):
+        if method == "recursive" and _refusal("general", u, v) is None:
+            refusal += " (try --method general)"
+        print(f"error: {refusal}", file=sys.stderr)
+        return EXIT_DOMAIN
     if method == "general":
-        if not both_end_y:
-            print(
-                "error: the general closed form needs both words nonempty and ending in y",
-                file=sys.stderr,
-            )
-            return EXIT_DOMAIN
         result = expand_general(to_exponent_form(u), to_exponent_form(v))
     elif method == "permutation":
         result = shuffle_permutation(u, v)
-    elif refusal:
-        hint = " (try --method general)" if both_end_y else ""
-        print(f"error: {refusal}{hint}", file=sys.stderr)
-        return EXIT_DOMAIN
     else:
         result = shuffle_recursive(u, v)
     print(result.render(args.format))
@@ -186,7 +234,7 @@ def _cmd_identity(args) -> int:
     except (WordSyntaxError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if refusal := _oracle_refusal(u, v):  # the residual needs the oracle's product
+    if refusal := _refusal("recursive", u, v):  # the residual needs the oracle's product
         print(f"error: {refusal}", file=sys.stderr)
         return EXIT_DOMAIN
     terms = args.terms if args.terms is not None else numeric.DEFAULT_TERMS

@@ -55,7 +55,7 @@ from operator import floordiv, lshift, mul
 from typing import Iterable, NamedTuple
 
 from .lincomb import LinComb
-from .words import NotAdmissibleError, _exponent_text, word_to_mzv
+from .words import NotAdmissibleError, _admissible, _order_key, _run_length, mzv_to_word
 
 DEFAULT_TERMS = 20_000
 MIN_TERMS = 16
@@ -105,13 +105,6 @@ class NumericResult(_Fields):
         if err_est < 0 or not math.isfinite(value):
             raise ValueError("numeric result must be finite with err_est >= 0")
         return super().__new__(cls, value, err_est, terms_used, mantissa, mantissa_err)
-
-
-def _check_index(ks: tuple[int, ...]) -> None:
-    if not ks or any(k < 1 for k in ks) or ks[0] < 2:
-        raise NotAdmissibleError(
-            f"zeta index must have k_1 >= 2 and all entries >= 1, got {ks}"
-        )
 
 
 def _check_terms(terms: int) -> int:
@@ -181,8 +174,10 @@ def _suffix_values(word: str) -> list[int]:
     return values
 
 
+@lru_cache(maxsize=8192)
 def _zeta_fixed(word: str) -> tuple[int, int]:
-    """(mantissa, error bound) of zeta(word), in units of 2^-SCALE_BITS."""
+    """(mantissa, error bound) of zeta(word), in units of 2^-SCALE_BITS; the
+    empty word gives exactly (2^SCALE_BITS, 0)."""
     suffixes = _suffix_values(word)
     dual_suffixes = _suffix_values(word[::-1].translate(_DUAL))
     mantissa = sum(map(mul, reversed(dual_suffixes), suffixes))
@@ -208,11 +203,6 @@ def _result(mantissa: int, err: int) -> NumericResult:
     return NumericResult(value, err_est, SERIES_TERMS, mantissa, err)
 
 
-@lru_cache(maxsize=8192)
-def _eval_cached(ks: tuple[int, ...]) -> NumericResult:
-    return _result(*_zeta_fixed(_exponent_text(k - 1 for k in ks)))
-
-
 def mzv_eval(idx: Iterable[int], terms: int = DEFAULT_TERMS) -> NumericResult:
     """Evaluate zeta(k_1, ..., k_n) with a proven error bound.
 
@@ -220,22 +210,24 @@ def mzv_eval(idx: Iterable[int], terms: int = DEFAULT_TERMS) -> NumericResult:
     result, which is computed at a fixed precision (see the module
     docstring).
     """
-    ks = tuple(int(k) for k in idx)
-    _check_index(ks)
+    word = mzv_to_word(int(k) for k in idx)
     _check_terms(terms)
-    return _eval_cached(ks)
+    return _result(*_zeta_fixed(word.text))
 
 
 def zeta_of_lincomb(comb: LinComb, terms: int = DEFAULT_TERMS) -> NumericResult:
     """Apply the zeta map linearly; the empty word evaluates to exactly 1."""
-    offending = [str(w) for w, _ in comb.items() if not w.is_admissible]
+    offending = [text for text in comb._terms if not _admissible(text)]
     if offending:
-        raise NotAdmissibleError(f"words without a zeta value: {', '.join(offending)}")
+        offending.sort(key=_order_key)
+        names = ", ".join(map(_run_length, offending))
+        raise NotAdmissibleError(f"words without a zeta value: {names}")
+    _check_terms(terms)
     mantissa = err = 0
-    for word, coeff in comb.items():
-        res = _zeta_word(word, terms)
-        mantissa += coeff * res.mantissa
-        err += abs(coeff) * res.mantissa_err
+    for text, coeff in comb._terms.items():
+        value, value_err = _zeta_fixed(text)
+        mantissa += coeff * value
+        err += abs(coeff) * value_err
     return _result(mantissa, err)
 
 
@@ -258,23 +250,15 @@ def identity_residual_with_bound(u, v, terms: int = DEFAULT_TERMS) -> tuple[floa
     for w in (u, v):
         if not w.is_admissible:
             raise NotAdmissibleError(f"{w!r} is not admissible")
-    # checked here too: a pair of empty words never reaches mzv_eval
-    terms = _check_terms(terms)
-    left_u = _zeta_word(u, terms)
-    left_v = _zeta_word(v, terms)
+    left_u, err_u = _zeta_fixed(u.text)
+    left_v, err_v = _zeta_fixed(v.text)
     right = zeta_of_lincomb(shuffle_recursive(u, v), terms)
-    residual = abs(left_u.mantissa * left_v.mantissa - (right.mantissa << SCALE_BITS))
+    residual = abs(left_u * left_v - (right.mantissa << SCALE_BITS))
     # |x y - U V| <= |x| |y - V| + |V| |x - U|
     bound = (
-        (abs(left_u.mantissa) + left_u.mantissa_err) * left_v.mantissa_err
-        + abs(left_v.mantissa) * left_u.mantissa_err
+        (abs(left_u) + err_u) * err_v
+        + abs(left_v) * err_u
         + (right.mantissa_err << SCALE_BITS)
     )
     scale = 1 << (2 * SCALE_BITS)
     return residual / scale, _round_up(bound, scale)
-
-
-def _zeta_word(w, terms: int) -> NumericResult:
-    if w.is_empty:
-        return NumericResult(value=1.0, err_est=0.0, terms_used=0, mantissa=1 << SCALE_BITS)
-    return mzv_eval(word_to_mzv(w), terms)

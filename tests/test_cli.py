@@ -1,5 +1,7 @@
 import inspect
+import itertools
 import json
+import math
 import sys
 import time
 
@@ -74,6 +76,10 @@ DEEP_PAIRS = [
     pytest.param(("shuffle", "y^500", "y", "--method", "recursive"), True, id="shuffle-501"),
     pytest.param(("shuffle", "y^500", "x"), False, id="shuffle-auto-501"),
     pytest.param(("identity", "x^498 y", "xy"), False, id="identity-501"),
+    # no hint where the closed form refuses the pair too
+    pytest.param(
+        ("shuffle", "y^300", "y^300", "--method", "recursive"), False, id="shuffle-general-refuses"
+    ),
 ]
 
 
@@ -105,6 +111,63 @@ def test_shuffle_does_not_depend_on_the_recursion_limit(capsys):
     finally:
         sys.setrecursionlimit(limit)
     assert got == want
+
+
+# pairs past a limit of the enumeration or of the closed form, refused before
+# any work; the message names the estimate
+WORK_LIMIT_PAIRS = [
+    pytest.param(("x^40 y", "x^40 y", "--method", "permutation"),
+                 "C(82, 41) interleavings", id="permutation-interleavings"),
+    pytest.param(("y^300", "y^300"), "C(600, 300) y-block layouts", id="general-layouts"),
+    pytest.param(("x^1000000 y", "x^1000000 y", "--method", "general"),
+                 "min(C(2000001, 1), C(2000002, 1000001)) words of 2000002 letters",
+                 id="general-letters"),
+]
+
+
+@pytest.mark.parametrize("argv,estimate", WORK_LIMIT_PAIRS)
+def test_past_a_work_limit_exits_3(capsys, argv, estimate):
+    code, out, err = run_cli(capsys, "shuffle", *argv)
+    assert code == 3
+    assert out == ""
+    assert estimate in err
+
+
+def test_general_takes_x4000y_xy(capsys):
+    # 1.6e7 letters by the bound, 4,003 words of 4,004 letters; 4,001 are printed
+    code, out, _ = run_cli(capsys, "shuffle", "x^4000 y", "xy")
+    assert code == 0
+    assert out.count(" + ") + 1 == 4001
+
+
+def test_binomial_capped():
+    from mzvshuffle.cli import _binomial_capped
+
+    for n in range(13):
+        for k in range(n + 1):
+            for cap in (1, 10, 100, 10**6):
+                got = _binomial_capped(n, k, cap)
+                assert got == math.comb(n, k) if math.comb(n, k) <= cap else got > cap
+    assert _binomial_capped(2 * 10**6, 10**6, 10**6) > 10**6
+
+
+def test_general_work_estimates():
+    from mzvshuffle.cli import _general_layouts, _general_letters
+    from mzvshuffle.closed_form import _layouts, expand_general
+
+    for r in range(1, 7):
+        for s in range(1, 7):
+            assert _general_layouts(r, s) == len(_layouts(r, s)) + len(_layouts(s, r))
+    forms = [exps for depth in (1, 2, 3) for exps in itertools.product(range(3), repeat=depth)]
+    for a in forms:
+        for b in forms:
+            n, m = sum(a) + len(a), sum(b) + len(b)
+            printed = len(expand_general(a, b)) * (n + m)
+            assert printed <= _general_letters(n, m, len(a) + len(b)), (a, b)
+    # x^k y . xy gives the k + 1 words x^i y x^(k+1-i) y, i >= 1; the bound
+    # also counts the one that starts with y
+    for k in range(1, 40):
+        assert _general_letters(k + 1, 2, 2) == (len(expand_general((k,), (1,))) + 1) * (k + 3)
 
 
 def test_shuffle_general_rejects_non_h1(capsys):

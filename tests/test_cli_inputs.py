@@ -53,17 +53,27 @@ def exit_code(argv: list[str]) -> int:
     word_texts(),
     st.sampled_from(["recursive", "permutation", "general", "auto"]),
     st.sampled_from(["plain", "latex", "json"]),
+    st.just(False),
 )
-# Pairs of more than cli.ORACLE_MAX_LETTERS letters, which the shuffle
-# oracle refuses before any work (see test_cli).
-@example("x^4000 y", "x", "auto", "plain")
-@example("y^4000", "y", "recursive", "json")
-@example("x^4000", "y", "recursive", "latex")
-@example("x^400 y", "x^400 y", "recursive", "plain")
-def test_shuffle_exits_with_a_code(u, v, method, fmt):
-    if method in ("permutation", "general"):
+# Pairs past a method's work limit, refused before any work (see test_cli):
+# more than cli.ORACLE_MAX_LETTERS letters for the shuffle oracle,
+@example("x^4000 y", "x", "auto", "plain", True)
+@example("y^4000", "y", "recursive", "json", True)
+@example("x^4000", "y", "recursive", "latex", True)
+@example("x^400 y", "x^400 y", "recursive", "plain", True)
+# more than cli.PERMUTATION_MAX_INTERLEAVINGS interleavings,
+@example("x^40 y", "x^40 y", "permutation", "plain", True)
+# more than cli.GENERAL_MAX_LAYOUTS y-block layouts for the closed form,
+@example("y^300", "y^300", "general", "json", True)
+@example("y^300", "y^300", "auto", "plain", True)
+# and more than cli.GENERAL_MAX_LETTERS letters by its output bound
+@example("x^1000000 y", "x^1000000 y", "general", "latex", True)
+@example("x^1000000 y", "x^1000000 y", "auto", "plain", True)
+def test_shuffle_exits_with_a_code(u, v, method, fmt, refused):
+    if method in ("permutation", "general") and not refused:
         assume(parsed_letters(u) + parsed_letters(v) <= SMALL_PAIR)
-    assert exit_code(["shuffle", u, v, "--method", method, "--format", fmt]) in (0, 1, 2, 3)
+    code = exit_code(["shuffle", u, v, "--method", method, "--format", fmt])
+    assert code == 3 if refused else code in (0, 1, 2, 3)
 
 
 @settings(max_examples=100, deadline=None)

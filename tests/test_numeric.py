@@ -72,6 +72,22 @@ def test_zeta_of_lincomb_rejects_inadmissible():
     with pytest.raises(NotAdmissibleError) as err:
         zeta_of_lincomb(LinComb({Word("yx"): 1, Word("xy"): 1}))
     assert "yx" in str(err.value)
+    # the offending words in canonical order, whatever the insertion order
+    with pytest.raises(NotAdmissibleError) as err:
+        zeta_of_lincomb(LinComb({"xx": 1, "yx": 1, "xy": 1}))
+    assert str(err.value) == "words without a zeta value: yx, x^2"
+
+
+def test_zeta_of_lincomb_checks_terms():
+    for comb in (LinComb.zero(), LinComb.term(Word()), LinComb.term(Word("xy"))):
+        with pytest.raises(ValueError):
+            zeta_of_lincomb(comb, MIN_TERMS - 1)
+
+
+def test_empty_word_is_exactly_one():
+    unit = zeta_of_lincomb(LinComb.term(Word()))
+    assert unit.mantissa == 1 << SCALE_BITS
+    assert unit.mantissa_err == 0
 
 
 def test_identity_residual_examples():
@@ -226,9 +242,36 @@ def test_suffix_caches_do_not_change_values():
     def fresh(order):
         numeric._SUFFIX_VALUES.clear()
         numeric._SUFFIX_ROWS.clear()
-        return {w: numeric._zeta_fixed(w) for w in order}
+        # the values themselves, not the per-word cache in front of them
+        return {w: numeric._zeta_fixed.__wrapped__(w) for w in order}
 
     assert fresh(words) == fresh(words[::-1])
+
+
+def test_index_and_word_evaluations_agree():
+    # mzv_eval converts an index to its word and zeta_of_lincomb reads the
+    # word; both go through the per-word cache, so each call order starts
+    # from empty caches
+    from mzvshuffle import numeric
+
+    def by_index(w):
+        result = mzv_eval(word_to_mzv(w))
+        return result.mantissa, result.mantissa_err
+
+    def by_word(w):
+        result = zeta_of_lincomb(LinComb.term(w))
+        return result.mantissa, result.mantissa_err
+
+    words = [Word("x" + "".join(middle) + "y")
+             for weight in range(2, 9) for middle in itertools.product("xy", repeat=weight - 2)]
+    values = []
+    for order in ((by_index, by_word), (by_word, by_index)):
+        numeric._zeta_fixed.cache_clear()
+        numeric._SUFFIX_VALUES.clear()
+        numeric._SUFFIX_ROWS.clear()
+        values.append([[evaluate(w) for evaluate in order] for w in words])
+    assert all(first == second for first, second in values[0])
+    assert values[0] == values[1]
 
 
 def test_run_skipping_matches_letter_by_letter():
