@@ -250,6 +250,8 @@ def identity_residual_with_bound(u, v, terms: int = DEFAULT_TERMS) -> tuple[floa
     for w in (u, v):
         if not w.is_admissible:
             raise NotAdmissibleError(f"{w!r} is not admissible")
+    # checked before the shuffle, whose cost a bad value should not pay
+    terms = _check_terms(terms)
     left_u, err_u = _zeta_fixed(u.text)
     left_v, err_v = _zeta_fixed(v.text)
     right = zeta_of_lincomb(shuffle_recursive(u, v), terms)

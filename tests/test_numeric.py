@@ -64,6 +64,8 @@ def test_zeta_of_lincomb_zero_and_unit():
     assert zero.value == 0.0 and zero.err_est == 0.0
     unit = zeta_of_lincomb(LinComb.term(Word(), 5))
     assert unit.value == 5.0 and unit.err_est == 0.0
+    one = zeta_of_lincomb(LinComb.term(Word()))
+    assert one.mantissa == 1 << SCALE_BITS and one.mantissa_err == 0
     single = zeta_of_lincomb(LinComb.term(Word("xy")))
     assert single.value == pytest.approx(mzv_eval((2,)).value)
 
@@ -82,12 +84,6 @@ def test_zeta_of_lincomb_checks_terms():
     for comb in (LinComb.zero(), LinComb.term(Word()), LinComb.term(Word("xy"))):
         with pytest.raises(ValueError):
             zeta_of_lincomb(comb, MIN_TERMS - 1)
-
-
-def test_empty_word_is_exactly_one():
-    unit = zeta_of_lincomb(LinComb.term(Word()))
-    assert unit.mantissa == 1 << SCALE_BITS
-    assert unit.mantissa_err == 0
 
 
 def test_identity_residual_examples():
