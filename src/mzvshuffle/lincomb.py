@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .words import Word, _admissible, _checked, _exponent_text, _order_key, _run_length
+from .words import Word, _admissible, _checked, _exponent_text, _order_key, _run_lengths
 from .words import _zeta_index, parse_word
 
 
@@ -54,12 +54,13 @@ class LinComb:
     def term(cls, word: Word | str, coeff: int = 1) -> "LinComb":
         return cls([(word, coeff)])
 
-    def _sorted(self) -> list[tuple[str, int]]:
-        return sorted(self._terms.items(), key=lambda kv: _order_key(kv[0]))
+    def _sorted(self) -> list[str]:
+        """The letter strings in canonical order."""
+        return sorted(self._terms, key=_order_key)
 
     def items(self) -> list[tuple[Word, int]]:
         """Terms in canonical order."""
-        return [(Word(text), coeff) for text, coeff in self._sorted()]
+        return [(Word(text), self._terms[text]) for text in self._sorted()]
 
     def words(self) -> list[Word]:
         return [w for w, _ in self.items()]
@@ -128,38 +129,45 @@ class LinComb:
         raise ValueError(f"unknown format {fmt!r}")
 
     def _render_plain(self) -> str:
-        def term(text: str, mag: int) -> str:
-            return _run_length(text) if mag == 1 else f"{mag}*{_run_length(text)}"
-
-        return self._signed(term, " + ", " - ")
+        texts = self._sorted()
+        coeffs = map(self._terms.__getitem__, texts)
+        return _signed(_run_lengths(texts), coeffs, " + ", " - ", "*")
 
     def _render_latex(self, zeta: bool) -> str:
-        def term(text: str, mag: int) -> str:
-            if not text:
-                return str(mag)
-            if zeta:
-                body = "\\zeta(" + ",".join(map(str, _zeta_index(text))) + ")"
-            else:
-                body = _run_length(text, latex=True)
-            return body if mag == 1 else f"{mag}{body}"
-
-        return self._signed(term, "+", "-")
-
-    def _signed(self, term: Callable[[str, int], str], plus: str, minus: str) -> str:
-        """The terms in canonical order as term(word, |coeff|), each after its
-        sign: '-' or nothing on the first, `plus` or `minus` on the others."""
-        parts, signs = [], ("", "-")
-        for text, coeff in self._sorted():
-            parts.append(signs[coeff < 0] + term(text, abs(coeff)))
-            signs = (plus, minus)
-        return "".join(parts) or "0"
+        texts = self._sorted()
+        # the empty word sorts first; its body is empty, so it prints as its
+        # coefficient alone
+        unit = texts[:1] == [""]
+        if zeta:
+            bodies = [
+                "\\zeta(" + ",".join(map(str, _zeta_index(text))) + ")" for text in texts[unit:]
+            ]
+        else:
+            bodies = _run_lengths(texts[unit:], latex=True)
+        coeffs = map(self._terms.__getitem__, texts)
+        return _signed([""] * unit + bodies, coeffs, "+", "-", "")
 
     def to_json_obj(self) -> dict:
         """Coefficients as decimal strings: they can exceed 64 bits."""
+        texts = self._sorted()
+        coeffs = map(self._terms.__getitem__, texts)
         return {
-            "terms": [{"word": _run_length(w), "coeff": str(c)} for w, c in self._sorted()]
+            "terms": [{"word": w, "coeff": str(c)} for w, c in zip(_run_lengths(texts), coeffs)]
         }
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "LinComb":
         return cls([(parse_word(t["word"]), int(t["coeff"])) for t in obj["terms"]])
+
+
+def _signed(bodies: list[str], coeffs: Iterable[int], plus: str, minus: str, times: str) -> str:
+    """The terms in order, each after its sign: '-' or nothing on the first,
+    `plus` or `minus` on the others.  A term is its body when its coefficient
+    is ±1, and otherwise |coeff|, `times` and the body; an empty body prints
+    as |coeff| alone."""
+    parts, signs = [], ("", "-")
+    for body, coeff in zip(bodies, coeffs):
+        mag = abs(coeff)
+        parts.append(signs[coeff < 0] + (body if mag == 1 and body else f"{mag}{times}{body}"))
+        signs = (plus, minus)
+    return "".join(parts) or "0"

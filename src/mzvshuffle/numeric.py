@@ -55,7 +55,7 @@ from operator import floordiv, lshift, mul
 from typing import Iterable, NamedTuple
 
 from .lincomb import LinComb
-from .words import NotAdmissibleError, _admissible, _order_key, _run_length, mzv_to_word
+from .words import NotAdmissibleError, _admissible, _order_key, _run_lengths, mzv_to_word
 
 DEFAULT_TERMS = 20_000
 MIN_TERMS = 16
@@ -220,7 +220,7 @@ def zeta_of_lincomb(comb: LinComb, terms: int = DEFAULT_TERMS) -> NumericResult:
     offending = [text for text in comb._terms if not _admissible(text)]
     if offending:
         offending.sort(key=_order_key)
-        names = ", ".join(map(_run_length, offending))
+        names = ", ".join(_run_lengths(offending))
         raise NotAdmissibleError(f"words without a zeta value: {names}")
     _check_terms(terms)
     mantissa = err = 0

@@ -135,9 +135,18 @@ def test_past_a_work_limit_exits_3(capsys, argv, estimate):
 
 def test_general_takes_x4000y_xy(capsys):
     # 1.6e7 letters by the bound, 4,003 words of 4,004 letters; 4,001 are printed
+    from mzvshuffle.closed_form import expand_general
+    from mzvshuffle.lincomb import LinComb
+
     code, out, _ = run_cli(capsys, "shuffle", "x^4000 y", "xy")
     assert code == 0
     assert out.count(" + ") + 1 == 4001
+    code, out, _ = run_cli(capsys, "shuffle", "x^4000 y", "xy", "--format", "latex")
+    assert code == 0
+    assert out.count("+") + 1 == out.count("\\zeta(") == 4001
+    code, out, _ = run_cli(capsys, "shuffle", "x^4000 y", "xy", "--format", "json")
+    assert code == 0
+    assert LinComb.from_json_obj(json.loads(out)) == expand_general((4000,), (1,))
 
 
 def test_binomial_capped():
@@ -364,3 +373,13 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "yxy + 2*xy^2"
+
+
+def test_python_m_runs_the_cli(capsys, monkeypatch):
+    import runpy
+
+    monkeypatch.setattr(sys, "argv", ["mzvshuffle", "shuffle", "xy", "y"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("mzvshuffle", run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == "yxy + 2*xy^2\n"

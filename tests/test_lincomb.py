@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mzvshuffle.lincomb import LinComb
-from mzvshuffle.words import Word
+from mzvshuffle.shuffle import shuffle_recursive
+from mzvshuffle.words import Word, parse_word
 
 words = st.builds(Word, st.text(alphabet="xy", max_size=5))
 combs = st.builds(
@@ -64,6 +66,33 @@ def test_render_literals():
     q = LinComb({"": -3, "x" * 10 + "y": 1})
     assert q.render() == "-3*1 + x^10y"
     assert q.render("latex") == "-3+\\zeta(11)"
+
+
+# sha256 of each rendering of two oracle products of 12 + 12 letters, taken
+# from the per-run printer the bulk printer replaced; any changed byte fails.
+# The first pair's words are all admissible, so its latex is in zeta notation.
+GOLDEN = {
+    ("x^3 y x^2 y^2 x y^3", "x^2 y^3 x^4 y^3"): (12151, {
+        "plain": "cf5ffc5a0c48a816852a6e8277f6376ab9902948558fb446bb53b739789d61cc",
+        "latex": "0d96996cc4af50fec74f410b166ef2028f0dc1e348a8bffe6ef161e5a5d11412",
+        "json": "14cf326c869cf18150bc45ed344fb6880235c6539e46e27625c9e20d564f62c8",
+    }),
+    ("y^2 x^3 y x^4 y^2", "x^5 y x y^2 x^2 y"): (27689, {
+        "plain": "8da7cd303edc8da69132b2b259d48ee64fbccc3a9548a9f919837763c16cb810",
+        "latex": "1a9ee7a424645c3920ff93cea83ee3a4b150cd4075e83287fd5eb77836a0718f",
+        "json": "4aed3e5dc1c12a73ecc017add276e3ff947fdbe871efbe3f6b391343f9818f81",
+    }),
+}
+
+
+@pytest.mark.parametrize("pair", list(GOLDEN))
+def test_render_golden_digests(pair):
+    p = shuffle_recursive(parse_word(pair[0]), parse_word(pair[1]))
+    terms, digests = GOLDEN[pair]
+    assert len(p) == terms
+    assert p.render("latex").startswith("\\zeta(") == p.all_admissible()
+    for fmt, digest in digests.items():
+        assert hashlib.sha256(p.render(fmt).encode()).hexdigest() == digest, fmt
 
 
 def test_string_and_word_keys_agree():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from mzvshuffle import words
 from mzvshuffle.words import (
     EMPTY_WORD,
     ExponentOverflowError,
@@ -138,6 +139,45 @@ def test_str_collapses_runs():
     assert str(Word("xxyy")) == "x^2y^2"
     assert str(Word("xyxy")) == "xyxy"
     assert str(Word("xxxyx")) == "x^3yx"
+
+
+def run_length_by_groups(text, latex=False):
+    """Reference printer: one word, one run of equal letters at a time."""
+    if not text:
+        return "1"
+    parts = []
+    for letter, run in itertools.groupby(text):
+        n = len(list(run))
+        parts.append(letter if n == 1 else f"{letter}^{{{n}}}" if latex else f"{letter}^{n}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("latex", [False, True])
+def test_run_lengths_match_reference(latex):
+    texts = [w.text for w in all_words(10)]
+    expected = [run_length_by_groups(t, latex) for t in texts]
+    assert words._run_lengths(texts, latex) == expected
+    assert [words._run_lengths([t], latex)[0] for t in texts] == expected
+    assert words._run_lengths([], latex) == []
+
+
+@pytest.mark.parametrize("latex", [False, True])
+def test_run_lengths_across_chunk_edges(latex):
+    # 2 * chunk + 1 words; empty words on both sides of each chunk edge
+    chunk = words._RUN_CHUNK
+    short = [w.text for w in all_words(10)]
+    texts = [short[(7 * i) % len(short)] for i in range(2 * chunk + 1)]
+    for edge in (chunk, 2 * chunk):
+        texts[edge - 1] = texts[edge] = ""
+    assert words._run_lengths(texts, latex) == [run_length_by_groups(t, latex) for t in texts]
+
+
+@pytest.mark.parametrize("latex", [False, True])
+def test_run_lengths_of_long_runs(latex):
+    long = "x" * 4000
+    texts = [long + "y", "y" * 4000, long + "yy" + long, "xy" + long, "", long]
+    assert words._run_lengths(texts, latex) == [run_length_by_groups(t, latex) for t in texts]
+    assert words._run_lengths([long + "y"], latex) == ["x^{4000}y" if latex else "x^4000y"]
 
 
 @given(st.text(alphabet="xy", max_size=30))
