@@ -2,11 +2,28 @@
 
 from __future__ import annotations
 
-import json
+import re
+from functools import partial
+from itertools import filterfalse
+from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .words import Word, _admissible, _checked, _exponent_text, _order_key, _run_lengths
-from .words import _zeta_index, parse_word
+from .words import _RUN_CHUNK, Word, _admissible, _canonical, _checked, _expand_powers
+from .words import _exponent_text, _run_length_text, _run_lengths, _zeta_index, parse_word
+
+# docs/schemas/lincomb.schema.json's patterns for a term's word and coefficient
+_JSON_WORD = r"1|(?:[xy](?:\^[0-9]+)?)+"
+_JSON_COEFF = r"-?[0-9]+"
+# The same, one per line, to check all the terms' words or coefficients in
+# one match.  A word is matched a run of letters at a time, each run with
+# the optional power of its last letter; the possessive quantifiers never
+# give back a character a match needs, and make the match 5-8 times faster.
+_JSON_RUNS = r"1|(?:[xy]++(?:\^[0-9]++)?+)++"
+_JSON_WORDS = re.compile(rf"(?:{_JSON_RUNS})(?:\n(?:{_JSON_RUNS}))*+")
+_JSON_COEFFS = re.compile(rf"{_JSON_COEFF}(?:\n{_JSON_COEFF})*+")
+_JSON_OPEN = '{"word": "'
+# each x^a y of an admissible word is one entry, a + 1, of its zeta index
+_ZETA_ENTRIES = re.compile(r"(x*y)")
 
 
 class LinComb:
@@ -56,7 +73,7 @@ class LinComb:
 
     def _sorted(self) -> list[str]:
         """The letter strings in canonical order."""
-        return sorted(self._terms, key=_order_key)
+        return _canonical(self._terms)
 
     def items(self) -> list[tuple[Word, int]]:
         """Terms in canonical order."""
@@ -121,31 +138,81 @@ class LinComb:
         if fmt == "plain":
             return self._render_plain()
         if fmt == "latex":
-            if zeta is None:
-                zeta = self.all_admissible()
             return self._render_latex(zeta)
         if fmt == "json":
-            return json.dumps(self.to_json_obj())
+            return self._render_json()
         raise ValueError(f"unknown format {fmt!r}")
+
+    def _marks(self, plus: str, minus: str, times: str, opener: str = "") -> dict[int, str]:
+        """What each distinct coefficient prints before a term's body."""
+        return {c: _sign(c, plus, minus, times) + opener for c in set(self._terms.values())}
+
+    def _printed(
+        self, texts: list[str], marks: dict[int, str], first: dict[int, str], printer,
+        after: bool = False,
+    ) -> list[str]:
+        """Each chunk of `texts` printed in one pass: the texts interleaved
+        with their coefficients' marks (each mark before its text, or after it
+        with `after`), joined, and passed once through `printer`.  In the
+        first chunk, the part at each position of `first` is replaced."""
+        coeff = self._terms.__getitem__
+        out = []
+        for start in range(0, len(texts), _RUN_CHUNK):
+            chunk = texts[start:start + _RUN_CHUNK]
+            parts = chunk * 2
+            parts[after::2] = map(marks.__getitem__, map(coeff, chunk))
+            parts[1 - after::2] = chunk
+            if not start:
+                for i, part in first.items():
+                    parts[i] = part
+            out.append(printer("".join(parts)))
+        return out
 
     def _render_plain(self) -> str:
         texts = self._sorted()
-        coeffs = map(self._terms.__getitem__, texts)
-        return _signed(_run_lengths(texts), coeffs, " + ", " - ", "*")
+        if not texts:
+            return "0"
+        first = {0: _sign(self._terms[texts[0]], "", "-", "*")}
+        if not texts[0]:
+            first[1] = "1"
+        return "".join(self._printed(texts, self._marks(" + ", " - ", "*"), first, _run_length_text))
 
-    def _render_latex(self, zeta: bool) -> str:
+    def _render_latex(self, zeta: bool | None) -> str:
         texts = self._sorted()
-        # the empty word sorts first; its body is empty, so it prints as its
-        # coefficient alone
-        unit = texts[:1] == [""]
-        if zeta:
-            bodies = [
-                "\\zeta(" + ",".join(map(str, _zeta_index(text))) + ")" for text in texts[unit:]
-            ]
-        else:
-            bodies = _run_lengths(texts[unit:], latex=True)
-        coeffs = map(self._terms.__getitem__, texts)
-        return _signed([""] * unit + bodies, coeffs, "+", "-", "")
+        bad = next(filterfalse(_admissible, texts), None)
+        if zeta is None:
+            zeta = bad is None
+        elif zeta and bad is not None:
+            _zeta_index(bad)  # raises NotAdmissibleError
+        if not texts:
+            return "0"
+        # the empty word sorts first and prints as its coefficient alone
+        lead = self._terms[texts[0]]
+        unit = not texts[0]
+        if not zeta:
+            first = {0: str(lead) if unit else _sign(lead, "", "-", "")}
+            printer = partial(_run_length_text, latex=True)
+            return "".join(self._printed(texts, self._marks("+", "-", ""), first, printer))
+        # each mark closes the previous term's index and opens its own; the
+        # last term's index is closed at the end
+        marks = self._marks(")+", ")-", "", "\\zeta(")
+        first = {0: str(lead) if unit else _sign(lead, "", "-", "") + "\\zeta("}
+        if unit and len(texts) > 1:
+            first[2] = marks[self._terms[texts[1]]][1:]
+        out = self._printed(texts, marks, first, _zeta_entries)
+        if texts[-1]:
+            out.append(")")
+        return "".join(out)
+
+    def _render_json(self) -> str:
+        """`json.dumps(self.to_json_obj())`, printed in chunks."""
+        texts = self._sorted()
+        if not texts:
+            return '{"terms": []}'
+        marks = {c: f'", "coeff": "{c}"}}, {_JSON_OPEN}' for c in set(self._terms.values())}
+        out = self._printed(texts, marks, {} if texts[0] else {0: "1"}, _run_length_text, after=True)
+        out[-1] = out[-1][:-len(", " + _JSON_OPEN)] + "]}"
+        return "".join(['{"terms": [' + _JSON_OPEN, *out])
 
     def to_json_obj(self) -> dict:
         """Coefficients as decimal strings: they can exceed 64 bits."""
@@ -157,17 +224,75 @@ class LinComb:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "LinComb":
-        return cls([(parse_word(t["word"]), int(t["coeff"])) for t in obj["terms"]])
+        """Inverse of `to_json_obj`.
+
+        Accepts exactly what docs/schemas/lincomb.schema.json accepts, with
+        every exponent within parse_word's cap and no word given twice;
+        otherwise raises ValueError naming the first term at fault.  All the
+        words are checked and expanded in one pass, as are the coefficients.
+        """
+        terms = obj.get("terms") if isinstance(obj, Mapping) and obj.keys() == {"terms"} else None
+        if not isinstance(terms, list):
+            raise ValueError("a combination is an object whose one key, 'terms', holds a list")
+        if not terms:
+            return cls()
+        try:
+            if set(map(len, terms)) != {2}:
+                raise TypeError
+            words = "\n".join(map(itemgetter("word"), terms))
+            coeffs = "\n".join(map(itemgetter("coeff"), terms))
+            # a newline inside a word or coefficient shows in the counts
+            lines = len(terms) - 1
+            if not (
+                _JSON_WORDS.fullmatch(words) and _JSON_COEFFS.fullmatch(coeffs)
+                and words.count("\n") == coeffs.count("\n") == lines
+            ):
+                raise TypeError
+            # after the powers are written out, only a unit word holds a '1'
+            texts = _expand_powers(words).replace("1", "").split("\n")
+            data = dict(zip(texts, map(int, coeffs.split("\n"))))
+        except (KeyError, TypeError, ValueError):
+            raise _bad_term(terms) from None
+        if len(data) <= lines:
+            raise _bad_term(terms)
+        return cls._adopt(data if all(data.values()) else {t: c for t, c in data.items() if c})
 
 
-def _signed(bodies: list[str], coeffs: Iterable[int], plus: str, minus: str, times: str) -> str:
-    """The terms in order, each after its sign: '-' or nothing on the first,
-    `plus` or `minus` on the others.  A term is its body when its coefficient
-    is ±1, and otherwise |coeff|, `times` and the body; an empty body prints
-    as |coeff| alone."""
-    parts, signs = [], ("", "-")
-    for body, coeff in zip(bodies, coeffs):
-        mag = abs(coeff)
-        parts.append(signs[coeff < 0] + (body if mag == 1 and body else f"{mag}{times}{body}"))
-        signs = (plus, minus)
-    return "".join(parts) or "0"
+def _sign(coeff: int, plus: str, minus: str, times: str) -> str:
+    """`plus` or `minus` by the sign of `coeff`, then |coeff| and `times`
+    unless the coefficient is ±1."""
+    return (minus if coeff < 0 else plus) + ("" if coeff in (1, -1) else f"{abs(coeff)}{times}")
+
+
+def _zeta_entries(text: str) -> str:
+    """`text` with each admissible word's letters, after the '(' its mark
+    ends in, replaced by its zeta index: '(xxyxy' -> '(3,2'.  Each distinct
+    x^a y is formatted once."""
+    parts = _ZETA_ENTRIES.split(text)
+    blocks = parts[1::2]
+    table = {block: f",{len(block)}" for block in set(blocks)}
+    parts[1::2] = map(table.__getitem__, blocks)
+    return "".join(parts).replace("(,", "(")
+
+
+def _bad_term(terms: list) -> ValueError:
+    """The error naming the first of `terms` that from_json_obj rejects."""
+    seen = set()
+    for i, term in enumerate(terms):
+        word = coeff = None
+        if isinstance(term, dict) and term.keys() == {"word", "coeff"}:
+            word, coeff = term["word"], term["coeff"]
+        if not (
+            isinstance(word, str) and re.fullmatch(_JSON_WORD, word)
+            and isinstance(coeff, str) and re.fullmatch(_JSON_COEFF, coeff)
+        ):
+            return ValueError(f"term {i} does not match the lincomb schema: {term!r:.100}")
+        try:
+            text = parse_word(word).text
+            int(coeff)
+        except ValueError as exc:
+            return ValueError(f"term {i}, {term!r:.100}: {exc}")
+        if text in seen:
+            return ValueError(f"term {i} repeats an earlier word: {term!r:.100}")
+        seen.add(text)
+    return ValueError("the terms do not match the lincomb schema")

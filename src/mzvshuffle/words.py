@@ -18,9 +18,11 @@ DEFAULT_EXPONENT_CAP = 10**6
 # exponent forms and zeta indices (so xyxy sorts before x^2y^2).
 _ORDER_TR = str.maketrans("xy", "ba")
 _RUNS = re.compile(r"(xx+|yy+)")
-# _run_lengths prints this many words per join and split.  On the 96,927
-# words of 24 letters of one product, tracemalloc's peak was 62 MB in one
-# piece and 12 MB in chunks of 4,096 words (8 MB of it the printed words).
+_POWERS = re.compile(r"([xy]\^[0-9]+)")
+# The printers join and split this many words at a time.  Rendering the
+# 89,564 words of 25 letters of one product, tracemalloc's peak was 70-75 MB
+# in one piece, and 7.0 MB plain, 8.6 MB latex and 10.9 MB json in chunks of
+# 4,096 words: twice the output (3.0, 3.9 and 5.1 MB), chunks and their join.
 _RUN_CHUNK = 4096
 
 
@@ -69,22 +71,58 @@ def _order_key(text: str) -> tuple[int, str]:
     return (len(text), text.translate(_ORDER_TR))
 
 
-def _run_lengths(texts: list[str], latex: bool = False) -> list[str]:
-    """Each word in run-length form: 'xxxyxyy' -> 'x^3yxy^2', or 'x^{3}yxy^{2}'
-    in latex; '1' for the empty word.
+def _canonical(texts: Iterable[str]) -> list[str]:
+    """Distinct letter strings in canonical order, the order of `_order_key`.
 
-    A chunk of words is joined by newlines and split once around its runs of
-    two or more letters; each distinct run is formatted once.
+    Both sorts run in C: among words of one length, y before x is the
+    reverse of code-point order, and the sort by length is stable.
+    """
+    out = sorted(texts, reverse=True)
+    out.sort(key=len)
+    return out
+
+
+def _run_length_text(text: str, latex: bool = False) -> str:
+    """`text` with each run of two or more x's or y's in power form: 'xxxyxyy'
+    -> 'x^3yxy^2', or 'x^{3}yxy^{2}' in latex.  Other characters are kept,
+    so a run ends at any of them.
+
+    The text is split once around its runs; each distinct run is formatted
+    once.
     """
     power = "{}^{{{}}}" if latex else "{}^{}"
+    parts = _RUNS.split(text)
+    runs = parts[1::2]
+    table = {run: power.format(run[0], len(run)) for run in set(runs)}
+    parts[1::2] = map(table.__getitem__, runs)
+    return "".join(parts)
+
+
+def _run_lengths(texts: list[str], latex: bool = False) -> list[str]:
+    """Each word in run-length form, '1' for the empty word."""
     out: list[str] = []
     for start in range(0, len(texts), _RUN_CHUNK):
-        parts = _RUNS.split("\n".join(texts[start:start + _RUN_CHUNK]))
-        runs = parts[1::2]
-        table = {run: power.format(run[0], len(run)) for run in set(runs)}
-        parts[1::2] = map(table.__getitem__, runs)
-        out += "".join(parts).split("\n")
+        out += _run_length_text("\n".join(texts[start:start + _RUN_CHUNK]), latex).split("\n")
     return [text or "1" for text in out]
+
+
+def _expand_powers(text: str) -> str:
+    """`text` with each power 'x^3' written out as 'xxx'; the inverse of
+    `_run_length_text` on plain text.  Each distinct power is expanded once.
+
+    Raises ValueError for an exponent above parse_word's default cap.
+    """
+    parts = _POWERS.split(text)
+    powers = parts[1::2]
+    table = {}
+    for power in set(powers):
+        digits = power[2:].lstrip("0") or "0"
+        # the length test keeps int() off digit strings too long to convert
+        if len(digits) > len(str(DEFAULT_EXPONENT_CAP)) or int(digits) > DEFAULT_EXPONENT_CAP:
+            raise ValueError(f"exponent of {power[:20]!r} exceeds cap {DEFAULT_EXPONENT_CAP}")
+        table[power] = power[0] * int(digits)
+    parts[1::2] = map(table.__getitem__, powers)
+    return "".join(parts)
 
 
 def _admissible(text: str) -> bool:

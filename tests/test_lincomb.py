@@ -1,12 +1,21 @@
 import hashlib
+import itertools
 import json
+import random
+import re
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
+from mzvshuffle.closed_form import expand_general
 from mzvshuffle.lincomb import LinComb
 from mzvshuffle.shuffle import shuffle_recursive
-from mzvshuffle.words import Word, parse_word
+from mzvshuffle.words import _RUN_CHUNK, Word, _canonical, _order_key, parse_word
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parents[1] / "docs" / "schemas" / "lincomb.schema.json").read_text()
+)
 
 words = st.builds(Word, st.text(alphabet="xy", max_size=5))
 combs = st.builds(
@@ -93,6 +102,7 @@ def test_render_golden_digests(pair):
     assert p.render("latex").startswith("\\zeta(") == p.all_admissible()
     for fmt, digest in digests.items():
         assert hashlib.sha256(p.render(fmt).encode()).hexdigest() == digest, fmt
+    assert LinComb.from_json_obj(json.loads(p.render("json"))) == p
 
 
 def test_string_and_word_keys_agree():
@@ -125,14 +135,10 @@ def test_render_unknown_format():
 
 def test_render_json_schema():
     jsonschema = pytest.importorskip("jsonschema")
-    from pathlib import Path
 
-    schema = json.loads(
-        (Path(__file__).resolve().parents[1] / "docs" / "schemas" / "lincomb.schema.json").read_text()
-    )
     p = LinComb({Word("xyxy"): 2, Word("xxyy"): 4})
     obj = json.loads(p.render("json"))
-    jsonschema.validate(obj, schema)
+    jsonschema.validate(obj, SCHEMA)
     assert obj == {
         "terms": [
             {"word": "xyxy", "coeff": "2"},
@@ -151,6 +157,11 @@ def test_big_coefficients_roundtrip():
 def test_canonical_iteration_order():
     p = LinComb({Word("xxyy"): 4, Word("xyxy"): 2, Word("yy"): 1})
     assert [str(w) for w, _ in p.items()] == ["y^2", "xyxy", "x^2y^2"]
+
+
+@given(st.sets(st.text(alphabet="xy", max_size=8)))
+def test_canonical_order_matches_order_key(texts):
+    assert _canonical(texts) == sorted(texts, key=_order_key)
 
 
 def test_render_plain_injective_on_small_set():
@@ -188,3 +199,156 @@ def test_scale_distributes(c, p, q):
 @given(combs)
 def test_neg_cancels(p):
     assert p + (-p) == LinComb.zero()
+
+
+# --- rendering against a per-term reference printer ------------------------
+
+
+def groups(text, latex):
+    """Run-length form of one word, a run at a time."""
+    if not text:
+        return "" if latex else "1"
+    parts = []
+    for letter, run in itertools.groupby(text):
+        n = len(list(run))
+        parts.append(letter if n == 1 else f"{letter}^{{{n}}}" if latex else f"{letter}^{n}")
+    return "".join(parts)
+
+
+def reference_render(p, fmt, zeta=False):
+    """One term at a time: the sign ('-' or nothing on the first term, then
+    a separator), |coeff| unless it is 1 and the body is nonempty, and the
+    body; '0' for the zero combination."""
+    latex = fmt == "latex"
+    plus, minus, times = ("+", "-", "") if latex else (" + ", " - ", "*")
+    out = []
+    for i, (word, coeff) in enumerate(sorted(p.items(), key=lambda t: t[0].sort_key())):
+        text = word.text
+        if zeta and text:
+            body = "\\zeta(" + ",".join(str(len(run) + 1) for run in text.split("y")[:-1]) + ")"
+        else:
+            body = groups(text, latex)
+        sign = ("-" if coeff < 0 else "") if i == 0 else (minus if coeff < 0 else plus)
+        mag = abs(coeff)
+        out.append(sign + (body if mag == 1 and body else f"{mag}{times}{body}"))
+    return "".join(out) or "0"
+
+
+ALL_WORDS = ["".join(w) for n in range(14) for w in itertools.product("xy", repeat=n)]
+BIG = 10**30
+
+
+@st.composite
+def render_cases(draw):
+    """Combinations of 0 to 2 * _RUN_CHUNK + 1 terms, so that chunk edges are
+    crossed, with or without the unit word, and coefficients of +-1, small,
+    and around +-10^30."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    size = draw(st.sampled_from([0, 1, 2, 3, 5, 40, _RUN_CHUNK, 2 * _RUN_CHUNK + 1]))
+    texts = rng.sample(ALL_WORDS[1:], size)
+    if size and draw(st.booleans()):
+        texts[0] = ""
+    kinds = (
+        lambda: rng.choice((1, -1)),
+        lambda: rng.choice((-1, 1)) * rng.randint(2, 50),
+        lambda: rng.choice((-1, 1)) * rng.randint(BIG - 3, BIG + 3),
+    )
+    mix = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
+    return LinComb({text: rng.choice(mix)() for text in texts})
+
+
+def admissible_part(p):
+    return LinComb({w: c for w, c in p.items() if w.is_admissible})
+
+
+# An example is a seed; shrinking it would only draw other combinations, each
+# of up to 8,193 terms, so a failure is reported as found.
+@settings(max_examples=30, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(render_cases())
+def test_render_matches_reference(p):
+    assert p.render() == reference_render(p, "plain")
+    assert p.render("latex", zeta=False) == reference_render(p, "latex")
+    assert p.render("latex") == reference_render(p, "latex", zeta=p.all_admissible())
+    q = admissible_part(p)
+    assert q.render("latex", zeta=True) == q.render("latex") == reference_render(q, "latex", zeta=True)
+    assert p.render("json") == json.dumps(p.to_json_obj())
+    assert LinComb.from_json_obj(json.loads(p.render("json"))) == p
+
+
+# --- reading JSON: what the schema accepts and nothing else ----------------
+
+SCHEMA_TERM = SCHEMA["properties"]["terms"]["items"]["properties"]
+WORD_PATTERN = SCHEMA_TERM["word"]["pattern"]
+COEFF_PATTERN = SCHEMA_TERM["coeff"]["pattern"]
+
+
+@pytest.mark.parametrize("terms", [
+    [{"word": "xy", "coeff": "1_000"}],
+    [{"word": "xy", "coeff": " +7 "}],
+    [{"word": "xy", "coeff": "٣"}],
+    [{"word": "x x^0 y 1", "coeff": "1"}],
+    [{"word": "xy", "coeff": "2"}, {"word": "x y", "coeff": "-2"}],
+    [{"word": "xy", "coeff": "2"}, {"word": "x^1y", "coeff": "-2"}],
+    [{"word": "1", "coeff": "2"}, {"word": "x^0", "coeff": "-2"}],
+    [{"word": "xy\nxy", "coeff": "2"}],
+    [{"word": "xy", "coeff": "2\n3"}],
+    [{"word": "1x^0", "coeff": "2"}],
+    [{"word": "", "coeff": "2"}],
+    [{"word": "x^1000001y", "coeff": "2"}],
+    [{"word": "x^" + "9" * 5000, "coeff": "2"}],
+    [{"word": "xy", "coeff": "2", "note": ""}],
+    [{"word": "xy"}],
+    [["xy", "2"]],
+    ["xy"],
+    [{"word": 1, "coeff": "2"}],
+])
+def test_from_json_rejects_and_names_the_term(terms):
+    with pytest.raises(ValueError, match=f"term {len(terms) - 1}"):
+        LinComb.from_json_obj({"terms": terms})
+
+
+@pytest.mark.parametrize("obj", [{"terms": {}}, {"terms": [], "extra": 1}, [], {}])
+def test_from_json_rejects_bad_containers(obj):
+    with pytest.raises(ValueError, match="'terms'"):
+        LinComb.from_json_obj(obj)
+
+
+def test_from_json_reads_what_the_schema_allows():
+    obj = {"terms": [
+        {"word": "x^002y^1", "coeff": "5"}, {"word": "1", "coeff": "-3"},
+        {"word": "x^0y", "coeff": "0"}, {"word": "x^1000000", "coeff": str(-BIG)},
+    ]}
+    assert LinComb.from_json_obj(obj) == LinComb({"xxy": 5, "": -3, "x" * 10**6: -BIG})
+    assert LinComb.from_json_obj({"terms": []}) == LinComb.zero()
+    p = expand_general((4000,), (1,))
+    assert LinComb.from_json_obj(json.loads(p.render("json"))) == p
+
+
+def expected_read(terms):
+    """What from_json_obj must return for `terms`, by the schema's patterns
+    and parse_word, one term at a time; None where it must raise."""
+    data = {}
+    for term in terms:
+        if not (re.fullmatch(WORD_PATTERN, term["word"]) and re.fullmatch(COEFF_PATTERN, term["coeff"])):
+            return None
+        text = parse_word(term["word"]).text
+        if text in data:
+            return None
+        data[text] = int(term["coeff"])
+    return LinComb(data)
+
+
+@given(st.lists(
+    st.fixed_dictionaries({
+        "word": st.text(alphabet="xy^0123 \n", max_size=6) | st.sampled_from(["1", "xy", "x^2y"]),
+        "coeff": st.text(alphabet="-0123 _\n+", max_size=4) | st.sampled_from(["1", "-7"]),
+    }),
+    max_size=4,
+))
+def test_from_json_accepts_what_the_schema_accepts(terms):
+    expected = expected_read(terms)
+    if expected is None:
+        with pytest.raises(ValueError):
+            LinComb.from_json_obj({"terms": terms})
+    else:
+        assert LinComb.from_json_obj({"terms": terms}) == expected
