@@ -237,21 +237,24 @@ class LinComb:
         if not terms:
             return cls()
         try:
-            if set(map(len, terms)) != {2}:
-                raise TypeError
             words = "\n".join(map(itemgetter("word"), terms))
             coeffs = "\n".join(map(itemgetter("coeff"), terms))
-            # a newline inside a word or coefficient shows in the counts
-            lines = len(terms) - 1
-            if not (
-                _JSON_WORDS.fullmatch(words) and _JSON_COEFFS.fullmatch(coeffs)
-                and words.count("\n") == coeffs.count("\n") == lines
-            ):
-                raise TypeError
+        except (KeyError, TypeError):
+            raise _bad_term(terms) from None
+        # a term with more keys, or a newline inside a word or coefficient,
+        # shows in the counts
+        lines = len(terms) - 1
+        if not (
+            set(map(len, terms)) == {2}
+            and _JSON_WORDS.fullmatch(words) and _JSON_COEFFS.fullmatch(coeffs)
+            and words.count("\n") == coeffs.count("\n") == lines
+        ):
+            raise _bad_term(terms)
+        try:
             # after the powers are written out, only a unit word holds a '1'
             texts = _expand_powers(words).replace("1", "").split("\n")
             data = dict(zip(texts, map(int, coeffs.split("\n"))))
-        except (KeyError, TypeError, ValueError):
+        except ValueError:  # an exponent above the cap, or too many digits for int()
             raise _bad_term(terms) from None
         if len(data) <= lines:
             raise _bad_term(terms)

@@ -296,6 +296,7 @@ COEFF_PATTERN = SCHEMA_TERM["coeff"]["pattern"]
     [{"word": "", "coeff": "2"}],
     [{"word": "x^1000001y", "coeff": "2"}],
     [{"word": "x^" + "9" * 5000, "coeff": "2"}],
+    [{"word": "xy", "coeff": "9" * 5000}],
     [{"word": "xy", "coeff": "2", "note": ""}],
     [{"word": "xy"}],
     [["xy", "2"]],
