@@ -5,25 +5,15 @@ from __future__ import annotations
 import re
 from functools import partial
 from itertools import filterfalse
-from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .words import _RUN_CHUNK, Word, _admissible, _canonical, _checked, _expand_powers
+from .words import _RUN_CHUNK, Word, _admissible, _canonical, _checked
 from .words import _exponent_text, _run_length_text, _run_lengths, _zeta_index, parse_word
 
 # docs/schemas/lincomb.schema.json's patterns for a term's word and coefficient
-_JSON_WORD = r"1|(?:[xy](?:\^[0-9]+)?)+"
-_JSON_COEFF = r"-?[0-9]+"
-# The same, one per line, to check all the terms' words or coefficients in
-# one match.  A word is matched a run of letters at a time, each run with
-# the optional power of its last letter; the possessive quantifiers never
-# give back a character a match needs, and make the match 5-8 times faster.
-_JSON_RUNS = r"1|(?:[xy]++(?:\^[0-9]++)?+)++"
-_JSON_WORDS = re.compile(rf"(?:{_JSON_RUNS})(?:\n(?:{_JSON_RUNS}))*+")
-_JSON_COEFFS = re.compile(rf"{_JSON_COEFF}(?:\n{_JSON_COEFF})*+")
+_JSON_WORD = re.compile(r"1|(?:[xy](?:\^[0-9]+)?)+")
+_JSON_COEFF = re.compile(r"-?[0-9]+")
 _JSON_OPEN = '{"word": "'
-# each x^a y of an admissible word is one entry, a + 1, of its zeta index
-_ZETA_ENTRIES = re.compile(r"(x*y)")
 
 
 class LinComb:
@@ -143,25 +133,26 @@ class LinComb:
             return self._render_json()
         raise ValueError(f"unknown format {fmt!r}")
 
-    def _marks(self, plus: str, minus: str, times: str, opener: str = "") -> dict[int, str]:
+    def _marks(self, plus: str, minus: str, times: str) -> dict[int, str]:
         """What each distinct coefficient prints before a term's body."""
-        return {c: _sign(c, plus, minus, times) + opener for c in set(self._terms.values())}
+        return {c: _sign(c, plus, minus, times) for c in set(self._terms.values())}
 
     def _printed(
         self, texts: list[str], marks: dict[int, str], first: dict[int, str], printer,
-        after: bool = False,
+        after: bool = False, body=None,
     ) -> list[str]:
-        """Each chunk of `texts` printed in one pass: the texts interleaved
-        with their coefficients' marks (each mark before its text, or after it
-        with `after`), joined, and passed once through `printer`.  In the
-        first chunk, the part at each position of `first` is replaced."""
+        """Each chunk of `texts` printed in one pass: the texts (or, with
+        `body`, body(text) for each) interleaved with their coefficients'
+        marks (each mark before its text, or after it with `after`), joined,
+        and passed once through `printer`.  In the first chunk, the part at
+        each position of `first` is replaced."""
         coeff = self._terms.__getitem__
         out = []
         for start in range(0, len(texts), _RUN_CHUNK):
             chunk = texts[start:start + _RUN_CHUNK]
             parts = chunk * 2
             parts[after::2] = map(marks.__getitem__, map(coeff, chunk))
-            parts[1 - after::2] = chunk
+            parts[1 - after::2] = chunk if body is None else map(body, chunk)
             if not start:
                 for i, part in first.items():
                     parts[i] = part
@@ -188,21 +179,13 @@ class LinComb:
             return "0"
         # the empty word sorts first and prints as its coefficient alone
         lead = self._terms[texts[0]]
-        unit = not texts[0]
-        if not zeta:
-            first = {0: str(lead) if unit else _sign(lead, "", "-", "")}
-            printer = partial(_run_length_text, latex=True)
-            return "".join(self._printed(texts, self._marks("+", "-", ""), first, printer))
-        # each mark closes the previous term's index and opens its own; the
-        # last term's index is closed at the end
-        marks = self._marks(")+", ")-", "", "\\zeta(")
-        first = {0: str(lead) if unit else _sign(lead, "", "-", "") + "\\zeta("}
-        if unit and len(texts) > 1:
-            first[2] = marks[self._terms[texts[1]]][1:]
-        out = self._printed(texts, marks, first, _zeta_entries)
-        if texts[-1]:
-            out.append(")")
-        return "".join(out)
+        first = {0: str(lead) if not texts[0] else _sign(lead, "", "-", "")}
+        marks = self._marks("+", "-", "")
+        if zeta:
+            # zeta notation prints no letters: the bodies need no run lengths
+            return "".join(self._printed(texts, marks, first, str, body=_zeta_body))
+        printer = partial(_run_length_text, latex=True)
+        return "".join(self._printed(texts, marks, first, printer))
 
     def _render_json(self) -> str:
         """`json.dumps(self.to_json_obj())`, printed in chunks."""
@@ -227,38 +210,29 @@ class LinComb:
         """Inverse of `to_json_obj`.
 
         Accepts exactly what docs/schemas/lincomb.schema.json accepts, with
-        every exponent within parse_word's cap and no word given twice;
-        otherwise raises ValueError naming the first term at fault.  All the
-        words are checked and expanded in one pass, as are the coefficients.
+        every exponent within parse_word's cap; a word given twice sums, as
+        in the constructor.  Otherwise raises ValueError naming the first
+        term at fault.
         """
         terms = obj.get("terms") if isinstance(obj, Mapping) and obj.keys() == {"terms"} else None
         if not isinstance(terms, list):
             raise ValueError("a combination is an object whose one key, 'terms', holds a list")
-        if not terms:
-            return cls()
-        try:
-            words = "\n".join(map(itemgetter("word"), terms))
-            coeffs = "\n".join(map(itemgetter("coeff"), terms))
-        except (KeyError, TypeError):
-            raise _bad_term(terms) from None
-        # a term with more keys, or a newline inside a word or coefficient,
-        # shows in the counts
-        lines = len(terms) - 1
-        if not (
-            set(map(len, terms)) == {2}
-            and _JSON_WORDS.fullmatch(words) and _JSON_COEFFS.fullmatch(coeffs)
-            and words.count("\n") == coeffs.count("\n") == lines
-        ):
-            raise _bad_term(terms)
-        try:
-            # after the powers are written out, only a unit word holds a '1'
-            texts = _expand_powers(words).replace("1", "").split("\n")
-            data = dict(zip(texts, map(int, coeffs.split("\n"))))
-        except ValueError:  # an exponent above the cap, or too many digits for int()
-            raise _bad_term(terms) from None
-        if len(data) <= lines:
-            raise _bad_term(terms)
-        return cls._adopt(data if all(data.values()) else {t: c for t, c in data.items() if c})
+        pairs = []
+        for i, term in enumerate(terms):
+            word = coeff = None
+            if isinstance(term, dict) and term.keys() == {"word", "coeff"}:
+                word, coeff = term["word"], term["coeff"]
+            if not (
+                isinstance(word, str) and _JSON_WORD.fullmatch(word)
+                and isinstance(coeff, str) and _JSON_COEFF.fullmatch(coeff)
+            ):
+                raise ValueError(f"term {i} does not match the lincomb schema: {term!r:.100}")
+            try:
+                # an exponent above the cap, or too many digits for int()
+                pairs.append((parse_word(word).text, int(coeff)))
+            except ValueError as exc:
+                raise ValueError(f"term {i}, {term!r:.100}: {exc}") from None
+        return cls(pairs)
 
 
 def _sign(coeff: int, plus: str, minus: str, times: str) -> str:
@@ -267,35 +241,6 @@ def _sign(coeff: int, plus: str, minus: str, times: str) -> str:
     return (minus if coeff < 0 else plus) + ("" if coeff in (1, -1) else f"{abs(coeff)}{times}")
 
 
-def _zeta_entries(text: str) -> str:
-    """`text` with each admissible word's letters, after the '(' its mark
-    ends in, replaced by its zeta index: '(xxyxy' -> '(3,2'.  Each distinct
-    x^a y is formatted once."""
-    parts = _ZETA_ENTRIES.split(text)
-    blocks = parts[1::2]
-    table = {block: f",{len(block)}" for block in set(blocks)}
-    parts[1::2] = map(table.__getitem__, blocks)
-    return "".join(parts).replace("(,", "(")
-
-
-def _bad_term(terms: list) -> ValueError:
-    """The error naming the first of `terms` that from_json_obj rejects."""
-    seen = set()
-    for i, term in enumerate(terms):
-        word = coeff = None
-        if isinstance(term, dict) and term.keys() == {"word", "coeff"}:
-            word, coeff = term["word"], term["coeff"]
-        if not (
-            isinstance(word, str) and re.fullmatch(_JSON_WORD, word)
-            and isinstance(coeff, str) and re.fullmatch(_JSON_COEFF, coeff)
-        ):
-            return ValueError(f"term {i} does not match the lincomb schema: {term!r:.100}")
-        try:
-            text = parse_word(word).text
-            int(coeff)
-        except ValueError as exc:
-            return ValueError(f"term {i}, {term!r:.100}: {exc}")
-        if text in seen:
-            return ValueError(f"term {i} repeats an earlier word: {term!r:.100}")
-        seen.add(text)
-    return ValueError("the terms do not match the lincomb schema")
+def _zeta_body(text: str) -> str:
+    """'xxyxy' -> '\\zeta(3,2)'; the empty word has no body."""
+    return "\\zeta(" + ",".join(map(str, _zeta_index(text))) + ")" if text else ""

@@ -18,7 +18,6 @@ DEFAULT_EXPONENT_CAP = 10**6
 # exponent forms and zeta indices (so xyxy sorts before x^2y^2).
 _ORDER_TR = str.maketrans("xy", "ba")
 _RUNS = re.compile(r"(xx+|yy+)")
-_POWERS = re.compile(r"([xy]\^[0-9]+)")
 # The printers join and split this many words at a time.  Rendering the
 # 89,564 words of 25 letters of one product, tracemalloc's peak was 70-75 MB
 # in one piece, and 7.0 MB plain, 8.6 MB latex and 10.9 MB json in chunks of
@@ -104,25 +103,6 @@ def _run_lengths(texts: list[str], latex: bool = False) -> list[str]:
     for start in range(0, len(texts), _RUN_CHUNK):
         out += _run_length_text("\n".join(texts[start:start + _RUN_CHUNK]), latex).split("\n")
     return [text or "1" for text in out]
-
-
-def _expand_powers(text: str) -> str:
-    """`text` with each power 'x^3' written out as 'xxx'; the inverse of
-    `_run_length_text` on plain text.  Each distinct power is expanded once.
-
-    Raises ValueError for an exponent above parse_word's default cap.
-    """
-    parts = _POWERS.split(text)
-    powers = parts[1::2]
-    table = {}
-    for power in set(powers):
-        digits = power[2:].lstrip("0") or "0"
-        # the length test keeps int() off digit strings too long to convert
-        if len(digits) > len(str(DEFAULT_EXPONENT_CAP)) or int(digits) > DEFAULT_EXPONENT_CAP:
-            raise ValueError(f"exponent of {power[:20]!r} exceeds cap {DEFAULT_EXPONENT_CAP}")
-        table[power] = power[0] * int(digits)
-    parts[1::2] = map(table.__getitem__, powers)
-    return "".join(parts)
 
 
 def _admissible(text: str) -> bool:

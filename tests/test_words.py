@@ -159,8 +159,6 @@ def test_run_lengths_match_reference(latex):
     assert words._run_lengths(texts, latex) == expected
     assert [words._run_lengths([t], latex)[0] for t in texts] == expected
     assert words._run_lengths([], latex) == []
-    if not latex:
-        assert words._expand_powers("\n".join(expected)) == "\n".join(t or "1" for t in texts)
 
 
 @pytest.mark.parametrize("latex", [False, True])
