@@ -1,6 +1,6 @@
 """Exact shuffle-product computer algebra for multiple zeta values."""
 
-from .combinat import binom, compositions, vandermonde_check, weak_compositions
+from .combinat import binom, compositions, weak_compositions
 from .closed_form import (
     beta_sequence,
     coeff_general,
@@ -12,7 +12,6 @@ from .closed_form import (
     expand_3_3,
     expand_euler,
     expand_general,
-    expand_small,
     gamma_sequence,
 )
 from .equivalence import (
@@ -24,7 +23,6 @@ from .equivalence import (
 from .lincomb import LinComb
 from .numeric import (
     NumericResult,
-    identity_residual,
     identity_residual_with_bound,
     mzv_eval,
     zeta_of_lincomb,
@@ -43,7 +41,6 @@ from .words import (
     DEFAULT_EXPONENT_CAP,
     EMPTY_WORD,
     ExponentOverflowError,
-    Letter,
     NotAdmissibleError,
     NotInH1Error,
     Word,
@@ -52,7 +49,6 @@ from .words import (
     mzv_to_word,
     parse_mzv_index,
     parse_word,
-    print_word,
     to_exponent_form,
     word_to_mzv,
 )

@@ -14,14 +14,11 @@ import math
 import sys
 
 from .closed_form import expand_general
-from .lincomb import LinComb
 from .shuffle import shuffle_permutation, shuffle_recursive
 from .words import (
-    ExponentOverflowError,
     NotAdmissibleError,
     NotInH1Error,
     Word,
-    WordSyntaxError,
     parse_mzv_index,
     parse_word,
     to_exponent_form,
@@ -162,7 +159,7 @@ def _cmd_shuffle(args) -> int:
     try:
         u = parse_word(args.word1)
         v = parse_word(args.word2)
-    except (WordSyntaxError, ExponentOverflowError) as exc:
+    except ValueError as exc:  # a syntax error, or an exponent or a word too long
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     method = args.method
@@ -231,7 +228,7 @@ def _cmd_identity(args) -> int:
     try:
         u = parse_word(args.word1)
         v = parse_word(args.word2)
-    except (WordSyntaxError, ExponentOverflowError) as exc:
+    except ValueError as exc:  # a syntax error, or an exponent or a word too long
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if refusal := _refusal("recursive", u, v):  # the residual needs the oracle's product

@@ -371,24 +371,3 @@ def expand_3_3(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> LinComb:
         out[al] = coeff
     return LinComb.from_exponents(out)
 
-
-_SMALL_CASES = {
-    "c12": (expand_1_2, 3),
-    "c13": (expand_1_3, 4),
-    "c22": (expand_2_2, 4),
-    "c23": (expand_2_3, 5),
-    "c33": (expand_3_3, 6),
-}
-
-
-def expand_small(case: str, *params: int) -> LinComb:
-    """Dispatch to one of the transcribed low-arity expansions."""
-    try:
-        fn, arity = _SMALL_CASES[case]
-    except KeyError:
-        raise ValueError(f"unknown case {case!r}; expected one of {sorted(_SMALL_CASES)}") from None
-    if len(params) != arity:
-        raise ValueError(f"case {case} takes {arity} exponents, got {len(params)}")
-    if any(p < 0 for p in params):
-        raise ValueError("exponents must be nonnegative")
-    return fn(*params)

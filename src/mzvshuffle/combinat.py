@@ -19,14 +19,6 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def vandermonde_check(k: int, l: int, n: int, cap: int = 10_000) -> bool:
-    """True iff sum_i binom(k,i) binom(l,n-i) equals binom(k+l,n)."""
-    for value in (k, l, n):
-        if not 0 <= value <= cap:
-            raise ValueError(f"arguments must lie in [0, {cap}], got {(k, l, n)}")
-    return sum(binom(k, i) * binom(l, n - i) for i in range(n + 1)) == binom(k + l, n)
-
-
 def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of `parts` nonnegative integers summing to `total`."""
     if total < 0 or parts < 0:

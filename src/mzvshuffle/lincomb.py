@@ -210,7 +210,7 @@ class LinComb:
         """Inverse of `to_json_obj`.
 
         Accepts exactly what docs/schemas/lincomb.schema.json accepts, with
-        every exponent within parse_word's cap; a word given twice sums, as
+        every word within parse_word's limits; a word given twice sums, as
         in the constructor.  Otherwise raises ValueError naming the first
         term at fault.
         """
@@ -228,7 +228,7 @@ class LinComb:
             ):
                 raise ValueError(f"term {i} does not match the lincomb schema: {term!r:.100}")
             try:
-                # an exponent above the cap, or too many digits for int()
+                # a word past parse_word's limits, or too many digits for int()
                 pairs.append((parse_word(word).text, int(coeff)))
             except ValueError as exc:
                 raise ValueError(f"term {i}, {term!r:.100}: {exc}") from None

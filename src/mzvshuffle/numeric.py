@@ -230,12 +230,6 @@ def zeta_of_lincomb(comb: LinComb, terms: int = DEFAULT_TERMS) -> NumericResult:
     return _result(mantissa, err)
 
 
-def identity_residual(u, v, terms: int = DEFAULT_TERMS) -> float:
-    """|zeta(u) zeta(v) - zeta(u shuffle v)| as computed."""
-    residual, _ = identity_residual_with_bound(u, v, terms)
-    return residual
-
-
 def identity_residual_with_bound(u, v, terms: int = DEFAULT_TERMS) -> tuple[float, float]:
     """The computed residual and a proven bound on it.
 

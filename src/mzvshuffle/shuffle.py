@@ -47,15 +47,11 @@ def shuffle_recursive(u: Word, v: Word) -> LinComb:
     return LinComb._adopt(_shuffle_raw(u.text, v.text))
 
 
-def shuffle_permutation(u: Word, v: Word) -> LinComb:
-    """Shuffle product by enumerating all order-preserving interleavings.
-
-    Deliberately unmemoized and independent of shuffle_recursive.
-    """
-    su, sv = u.text, v.text
+def _interleavings(su: str, sv: str):
+    """Each order-preserving interleaving of su and sv once: its letters,
+    and the positions of su's letters in it."""
     n, m = len(su), len(sv)
     total = n + m
-    counts: dict[str, int] = {}
     for positions in itertools.combinations(range(total), n):
         chars: list[str] = [""] * total
         for idx, pos in enumerate(positions):
@@ -64,7 +60,16 @@ def shuffle_permutation(u: Word, v: Word) -> LinComb:
         for pos in range(total):
             if not chars[pos]:
                 chars[pos] = next(fill)
-        word = "".join(chars)
+        yield "".join(chars), positions
+
+
+def shuffle_permutation(u: Word, v: Word) -> LinComb:
+    """Shuffle product by enumerating all order-preserving interleavings.
+
+    Deliberately unmemoized and independent of shuffle_recursive.
+    """
+    counts: dict[str, int] = {}
+    for word, _ in _interleavings(u.text, v.text):
         counts[word] = counts.get(word, 0) + 1
     return LinComb(counts)
 

@@ -12,7 +12,6 @@ expansions separately.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -39,7 +38,14 @@ from .restricted import (
     expand_res_1_2,
     expand_res_2_2,
 )
-from .shuffle import _fold, _shuffle_raw, shuffle_nfold, shuffle_permutation, shuffle_recursive
+from .shuffle import (
+    _fold,
+    _interleavings,
+    _shuffle_raw,
+    shuffle_nfold,
+    shuffle_permutation,
+    shuffle_recursive,
+)
 from .words import Word, _admissible, from_exponent_form
 
 DEFAULT_WEIGHT_CAP = 10
@@ -84,9 +90,6 @@ class VerifyReport:
             "failures": list(self.failures),
             "elapsed_ms": self.elapsed_ms,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 # ---------------------------------------------------------------------------
@@ -345,42 +348,36 @@ def run_specialization_sweep(max_total: int = 9) -> VerifyReport:
 # pattern-restricted oracles (fine-grained ground truth for the case splits)
 
 
-def _interleavings(su: str, sv: str):
-    n, m = len(su), len(sv)
-    for positions in itertools.combinations(range(n + m), n):
-        chars = [""] * (n + m)
-        from_u = [False] * (n + m)
-        for idx, pos in enumerate(positions):
-            chars[pos] = su[idx]
-            from_u[pos] = True
-        fill = iter(sv)
-        for pos in range(n + m):
-            if not chars[pos]:
-                chars[pos] = next(fill)
-        yield chars, from_u
+def _pattern_buckets(
+    su: str, sv: str, label: Callable[[list[int], list[int]], str]
+) -> dict[str, LinComb]:
+    """The oracle for su . sv split into buckets: each interleaving goes to
+    label(ypos_u, ypos_v), the positions its y's from su and from sv hold."""
+    cases: dict[str, dict[str, int]] = {}
+    for word, positions in _interleavings(su, sv):
+        ypos_u = [pos for pos in positions if word[pos] == "y"]
+        from_u = set(ypos_u)
+        ypos_v = [pos for pos, c in enumerate(word) if c == "y" and pos not in from_u]
+        bucket = cases.setdefault(label(ypos_u, ypos_v), {})
+        bucket[word] = bucket.get(word, 0) + 1
+    return {name: LinComb(words) for name, words in cases.items()}
 
 
 def pattern_cases_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> dict[str, LinComb]:
     """Split the oracle for x^a y^r . x^{b1} y^{s1} x^{b2} y^{s2} by the
     number of second-factor y's preceding the first first-factor y."""
+
+    def label(ypos_u: list[int], ypos_v: list[int]) -> str:
+        k = sum(1 for pos in ypos_v if pos < ypos_u[0])
+        if k == 0:
+            return "i"
+        if k <= s1 - 1:
+            return "ii"
+        return "iii" if k == s1 else "iv"
+
     su = "x" * a + "y" * r
     sv = "x" * b1 + "y" * s1 + "x" * b2 + "y" * s2
-    cases: dict[str, dict[str, int]] = {}
-    for chars, from_u in _interleavings(su, sv):
-        first_u_y = min(i for i, c in enumerate(chars) if c == "y" and from_u[i])
-        k = sum(1 for i, c in enumerate(chars) if c == "y" and not from_u[i] and i < first_u_y)
-        if k == 0:
-            label = "i"
-        elif k <= s1 - 1:
-            label = "ii"
-        elif k == s1:
-            label = "iii"
-        else:
-            label = "iv"
-        word = "".join(chars)
-        bucket = cases.setdefault(label, {})
-        bucket[word] = bucket.get(word, 0) + 1
-    return {label: LinComb(words) for label, words in cases.items()}
+    return _pattern_buckets(su, sv, label)
 
 
 def pattern_cases_2_2(
@@ -391,20 +388,15 @@ def pattern_cases_2_2(
     Interleavings whose first y comes from the second factor land in the
     'swap' bucket (they are covered by the symmetrized term).
     """
+
+    def label(ypos_u: list[int], ypos_v: list[int]) -> str:
+        if ypos_v[0] < ypos_u[0]:
+            return "swap"
+        return _classify_2_2(ypos_u, ypos_v, r1, s1)
+
     su = "x" * a1 + "y" * r1 + "x" * a2 + "y" * r2
     sv = "x" * b1 + "y" * s1 + "x" * b2 + "y" * s2
-    cases: dict[str, dict[str, int]] = {}
-    for chars, from_u in _interleavings(su, sv):
-        ypos_u = [i for i, c in enumerate(chars) if c == "y" and from_u[i]]
-        ypos_v = [i for i, c in enumerate(chars) if c == "y" and not from_u[i]]
-        if ypos_v[0] < ypos_u[0]:
-            label = "swap"
-        else:
-            label = _classify_2_2(ypos_u, ypos_v, r1, s1)
-        word = "".join(chars)
-        bucket = cases.setdefault(label, {})
-        bucket[word] = bucket.get(word, 0) + 1
-    return {label: LinComb(words) for label, words in cases.items()}
+    return _pattern_buckets(su, sv, label)
 
 
 def _classify_2_2(ypos_u: list[int], ypos_v: list[int], r1: int, s1: int) -> str:

@@ -8,12 +8,12 @@ import itertools
 import time
 
 from mzvshuffle.closed_form import expand_general
-from mzvshuffle.combinat import vandermonde_check
 from mzvshuffle.lincomb import LinComb
 from mzvshuffle.restricted import expand_res_1_1
 from mzvshuffle.shuffle import shuffle_permutation, shuffle_recursive
 from mzvshuffle.words import Word
 from mzvshuffle import verify
+from test_combinat import vandermonde_check
 
 
 def _report(name, ok, detail):

@@ -3,7 +3,13 @@ to 3, never in an exception."""
 
 import contextlib
 import io
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mzvshuffle.cli import main
@@ -88,3 +94,38 @@ def test_identity_exits_with_a_code(u, v, terms):
 def test_zeta_exits_with_a_code(index, bad, terms):
     text = ",".join(map(str, index)) + (bad or "")
     assert exit_code(["zeta", text, "--terms", str(terms)]) in (0, 1, 2, 3)
+
+
+NINES = "9" * 5000  # more digits than int() takes
+# each needs at least 10^10 letters, so a missing check fails at once
+LONG_WORD = "x^1000000" * 10_000
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _address_space_limit():
+    # a parser that builds the word anyway fails at 1 GiB, not at 10 GB
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["shuffle", f"x^{NINES} y", "xy"], "exponent of 5000 digits exceeds cap 1000000"),
+        (["identity", f"x^{NINES} y", "xy"], "exponent of 5000 digits exceeds cap 1000000"),
+        (["shuffle", "x^² y", "xy"], "expected digits after '^'"),
+        (["shuffle", LONG_WORD, "xy"], "exceeds the limit of 10000000 letters"),
+        (["identity", LONG_WORD + " y", "xy"], "exceeds the limit of 10000000 letters"),
+        (["zeta", "10000000000"], "exceeds the limit of 10000000 letters"),
+    ],
+    ids=["shuffle-digits", "identity-digits", "superscript", "shuffle-letters",
+         "identity-letters", "zeta-letters"],
+)
+def test_parse_refusals_exit_2(argv, message):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "mzvshuffle", *argv], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=_address_space_limit,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert message in done.stderr

@@ -13,7 +13,6 @@ from mzvshuffle.closed_form import (
     expand_3_3,
     expand_euler,
     expand_general,
-    expand_small,
     gamma_sequence,
 )
 from mzvshuffle.combinat import binom, weak_composition_list
@@ -245,17 +244,6 @@ def test_expand_small_c33_all_zero():
     result = expand_3_3(0, 0, 0, 0, 0, 0)
     assert result == LinComb({Word("yyyyyy"): 20})
     assert result.coefficient_sum() == binom(6, 3)
-
-
-def test_expand_small_dispatcher():
-    assert expand_small("c12", 1, 1, 1) == expand_1_2(1, 1, 1)
-    assert expand_small("c33", 0, 0, 0, 0, 0, 0) == expand_3_3(0, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        expand_small("c99", 1)
-    with pytest.raises(ValueError):
-        expand_small("c12", 1, 1)
-    with pytest.raises(ValueError):
-        expand_small("c12", 1, 1, -1)
 
 
 def test_expand_2_3_printed_a4_reading_fails():

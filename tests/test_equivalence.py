@@ -127,6 +127,6 @@ def test_report_json_schema():
         ).read_text()
     )
     report = verify.run_suite("appendixA", 6)
-    obj = json.loads(report.to_json())
+    obj = json.loads(json.dumps(report.to_json_obj()))
     jsonschema.validate(obj, schema)
     assert set(obj) == {"suite", "grid", "checked", "failures", "elapsed_ms"}

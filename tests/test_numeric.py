@@ -11,7 +11,6 @@ from mzvshuffle.numeric import (
     SCALE_BITS,
     SERIES_TERMS,
     NumericResult,
-    identity_residual,
     identity_residual_with_bound,
     mzv_eval,
     zeta_of_lincomb,
@@ -87,10 +86,10 @@ def test_zeta_of_lincomb_checks_terms():
 
 
 def test_identity_residual_examples():
-    assert identity_residual(Word("xy"), Word("xy")) <= 1e-30
-    assert identity_residual(Word("xxy"), Word("xy")) <= 1e-30
+    assert identity_residual_with_bound(Word("xy"), Word("xy"))[0] <= 1e-30
+    assert identity_residual_with_bound(Word("xxy"), Word("xy"))[0] <= 1e-30
     with pytest.raises(NotAdmissibleError):
-        identity_residual(Word("xy"), Word("yx"))
+        identity_residual_with_bound(Word("xy"), Word("yx"))
 
 
 def test_identity_residual_bound():

@@ -117,15 +117,28 @@ def test_h1_exponent_forms_count():
 
 
 def test_pattern_cases_partition_the_product():
+    # the 1x2 and 2x2 splits share one enumerator: each split's buckets
+    # sum to the product of the defining rules
     from mzvshuffle.shuffle import shuffle_recursive
     from mzvshuffle.words import Word
     from mzvshuffle.lincomb import LinComb
 
-    point = (1, 1, 0, 2, 1, 2, 0, 1)
-    buckets = verify.pattern_cases_2_2(*point)
-    total = LinComb.zero()
-    for comb in buckets.values():
-        total = total + comb
-    u = Word("x" * point[0] + "y" * point[1] + "x" * point[2] + "y" * point[3])
-    v = Word("x" * point[4] + "y" * point[5] + "x" * point[6] + "y" * point[7])
-    assert total == shuffle_recursive(u, v)
+    points = [
+        (1, 1, 1, 2, 0, 1),
+        (0, 2, 1, 1, 1, 2),
+        (2, 3, 0, 2, 1, 1),
+        (1, 2, 2, 3, 0, 2),
+        (1, 1, 0, 2, 1, 2, 0, 1),
+        (0, 2, 1, 1, 1, 1, 0, 2),
+        (2, 1, 0, 1, 0, 2, 1, 1),
+        (1, 2, 1, 1, 1, 1, 1, 2),
+    ]
+    for point in points:
+        split = verify.pattern_cases_1_2 if len(point) == 6 else verify.pattern_cases_2_2
+        total = LinComb.zero()
+        for comb in split(*point).values():
+            total = total + comb
+        first = 2 if len(point) == 6 else 4
+        u = Word("".join("x" * a + "y" * r for a, r in zip(point[:first:2], point[1:first:2])))
+        v = Word("".join("x" * b + "y" * s for b, s in zip(point[first::2], point[first + 1::2])))
+        assert total == shuffle_recursive(u, v), point

@@ -7,7 +7,6 @@ from mzvshuffle import words
 from mzvshuffle.words import (
     EMPTY_WORD,
     ExponentOverflowError,
-    Letter,
     NotAdmissibleError,
     NotInH1Error,
     Word,
@@ -16,7 +15,6 @@ from mzvshuffle.words import (
     mzv_to_word,
     parse_mzv_index,
     parse_word,
-    print_word,
     to_exponent_form,
     word_to_mzv,
 )
@@ -30,7 +28,7 @@ def all_words(max_len):
 
 def test_parse_plain_letters():
     assert parse_word("xxyy") == Word("xxyy")
-    assert parse_word("xxyy").letters == (Letter.X, Letter.X, Letter.Y, Letter.Y)
+    assert parse_word("xxyy").text == "xxyy"
 
 
 def test_parse_exponents_and_whitespace():
@@ -56,9 +54,16 @@ def test_parse_syntax_error_offset():
 def test_parse_exponent_cap():
     with pytest.raises(ExponentOverflowError):
         parse_word("x^1000001")
-    assert len(parse_word("x^999", exponent_cap=1000)) == 999
-    with pytest.raises(ExponentOverflowError):
-        parse_word("x^999", exponent_cap=100)
+    assert len(parse_word("x^1000000")) == 10**6
+    # leading zeros do not count against the cap
+    assert parse_word("x^" + "0" * 5000 + "2 y") == Word("xxy")
+    # more than the 4,300 digits int() takes: refused by the digit count
+    with pytest.raises(ExponentOverflowError, match="of 5000 digits exceeds cap 1000000") as err:
+        parse_word("x^" + "9" * 5000 + " y")
+    assert err.value.offset == 2
+    # a superscript passes str.isdigit but not int()
+    with pytest.raises(WordSyntaxError):
+        parse_word("x^\u00b2 y")
 
 
 def test_admissibility():
@@ -100,6 +105,13 @@ def test_parse_mzv_index():
     for bad in ("", "3,", "a", "0,2", "-1"):
         with pytest.raises(ValueError):
             parse_mzv_index(bad)
+    # at most MAX_WORD_LETTERS letters, the index's weight; parse_word's
+    # limit is tested through the CLI in a memory-capped process
+    # (test_cli_inputs), since a parser without it would build the word
+    assert parse_mzv_index(f"{words.MAX_WORD_LETTERS}") == (words.MAX_WORD_LETTERS,)
+    for big in ("10000000000", ",".join(["1000000"] * 10_000)):
+        with pytest.raises(ValueError, match=f"limit of {words.MAX_WORD_LETTERS} letters"):
+            parse_mzv_index(big)
 
 
 def test_exponent_form_roundtrip_exhaustive():
@@ -116,7 +128,7 @@ def test_exponent_form_roundtrip_exhaustive():
 
 def test_print_parse_roundtrip_exhaustive():
     for w in all_words(12):
-        assert parse_word(print_word(w)) == w
+        assert parse_word(str(w)) == w
 
 
 def test_mzv_weight_and_depth():
