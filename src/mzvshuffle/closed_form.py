@@ -16,8 +16,10 @@ binom(alpha_i, beta_i) != 0; the Kronecker deltas fix the trailing
 positions and the one free position takes the x-degree that is left.
 Every contribution is a positive product, so the work scales with the
 number of nonzero terms of the formula instead of with all weak
-compositions of the x-degree.  coeff_general evaluates the same layouts at
-one exponent tuple, through beta_sequence.
+compositions of the x-degree.  One recipe, _beta_steps, gives the steps
+of a block shape; beta_sequence evaluates them at concrete exponents,
+_layouts cuts them at each layout's bound, and coeff_general evaluates each
+layout's steps at one exponent tuple.
 
 The concrete low-arity expansions (Euler, 1 x s, and the five small cases)
 are independent transcriptions of their published displays and are tested
@@ -26,6 +28,7 @@ against the brute-force oracles.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -42,6 +45,8 @@ from .lincomb import LinComb
 def _check_exponents(exps: tuple[int, ...], name: str) -> None:
     if len(exps) < 1:
         raise ValueError(f"{name} needs at least one exponent")
+    if not all(isinstance(e, int) for e in exps):
+        raise TypeError(f"{name} exponents must be ints, got {exps}")
     if any(e < 0 for e in exps):
         raise ValueError(f"{name} exponents must be nonnegative, got {exps}")
 
@@ -69,24 +74,36 @@ def beta_sequence(
         raise ValueError("compositions must sum to the factor depths")
     if len(alphas) != len(a) + len(b):
         raise ValueError("alphas must have one entry per output position")
+    return _betas(_beta_steps(lcomp, ncomp), _constants(a, b), prefix_sums(alphas))
 
-    pa, pb, pal = prefix_sums(a), prefix_sums(b), prefix_sums(alphas)
-    out: list[int] = []
-    ai = bi = pos = 0
+
+def _beta_steps(lcomp: tuple[int, ...], ncomp: tuple[int, ...]) -> list[tuple[int, bool]]:
+    """The beta recipe of the block shape (lcomp, ncomp), with the exponents
+    left symbolic: one (k, prefix) step per position, read by _betas."""
+    r, s = sum(lcomp), sum(ncomp)
+
+    def start(x: int, y: int) -> tuple[int, bool]:
+        return (r + s + x * (s + 1) + y, True)
+
+    steps: list[tuple[int, bool]] = []
+    ai = bi = 0
     for j, lpart in enumerate(lcomp):
-        out.append(pa[ai + 1] + pb[bi] - pal[pos])
-        for t in range(2, lpart + 1):
-            out.append(a[ai + t - 1])
+        steps.append(start(ai + 1, bi))
+        steps.extend((ai + t - 1, False) for t in range(2, lpart + 1))
         ai += lpart
-        pos += lpart
         if j < len(ncomp):
-            npart = ncomp[j]
-            out.append(pa[ai] + pb[bi + 1] - pal[pos])
-            for t in range(2, npart + 1):
-                out.append(b[bi + t - 1])
-            bi += npart
-            pos += npart
-    return tuple(out)
+            steps.append(start(ai, bi + 1))
+            steps.extend((r + bi + t - 1, False) for t in range(2, ncomp[j] + 1))
+            bi += ncomp[j]
+    return steps
+
+
+def _betas(
+    steps: Iterable[tuple[int, bool]], table: list[int], pal: tuple[int, ...]
+) -> tuple[int, ...]:
+    """beta_i = table[k], less alpha_1 + ... + alpha_{i-1} (pal[i]) at a
+    prefix step, for table = _constants(a, b)."""
+    return tuple(table[k] - pal[i] if prefix else table[k] for i, (k, prefix) in enumerate(steps))
 
 
 def gamma_sequence(lcomp, ncomp, alphas, a, b) -> tuple[int, ...]:
@@ -106,8 +123,6 @@ class _Layout(NamedTuple):
     refer to the table that _constants builds for the exponents.
     """
 
-    lcomp: tuple[int, ...]
-    ncomp: tuple[int, ...]
     bound: int
     steps: tuple[tuple[int, bool], ...]  # (table index of beta's constant, prefix)
     tail: tuple[int, ...]  # table indices of the pinned alpha values
@@ -128,22 +143,8 @@ def _layouts(r: int, s: int) -> tuple[_Layout, ...]:
     the gamma-side layouts, those starting with a b-block.
     """
 
-    def start(x: int, y: int) -> tuple[int, bool]:
-        return (r + s + x * (s + 1) + y, True)
-
     def layout(lc, nc, bound, tail):
-        # the beta_sequence recipe, with the exponents left symbolic
-        steps: list[tuple[int, bool]] = []
-        ai = bi = 0
-        for j, lpart in enumerate(lc):
-            steps.append(start(ai + 1, bi))
-            steps.extend((ai + t - 1, False) for t in range(2, lpart + 1))
-            ai += lpart
-            if j < len(nc):
-                steps.append(start(ai, bi + 1))
-                steps.extend((r + bi + t - 1, False) for t in range(2, nc[j] + 1))
-                bi += nc[j]
-        return _Layout(lc, nc, bound, tuple(steps[:bound]), tuple(tail))
+        return _Layout(bound, tuple(_beta_steps(lc, nc)[:bound]), tuple(tail))
 
     out = []
     # shape ending in an a-block: l has p+1 parts, n has p parts
@@ -174,17 +175,13 @@ def coeff_general(alphas: Iterable[int], a: Iterable[int], b: Iterable[int]) -> 
         raise ValueError(f"alpha entries must be nonnegative, got {alphas}")
     if sum(alphas) != sum(a) + sum(b):
         raise ValueError("alphas must sum to the total x-degree")
+    pal = prefix_sums(alphas)
     total = 0
     for first, second in ((a, b), (b, a)):
-        ref = first + second
+        table = _constants(first, second)
         for lay in _layouts(len(first), len(second)):
-            if alphas[lay.bound + 1 :] != tuple(ref[k] for k in lay.tail):
-                continue
-            betas = beta_sequence(lay.lcomp, lay.ncomp, alphas, first, second)
-            prod = 1
-            for i in range(lay.bound):
-                prod *= binom(alphas[i], betas[i])
-            total += prod
+            if alphas[lay.bound + 1 :] == tuple(table[k] for k in lay.tail):
+                total += math.prod(map(binom, alphas, _betas(lay.steps, table, pal)))
     return total
 
 
@@ -208,8 +205,7 @@ def expand_general(a: Iterable[int], b: Iterable[int]) -> LinComb:
 
 def expand_euler(a: int, b: int) -> LinComb:
     """Depth-1 by depth-1 product: the classical two-zeta decomposition."""
-    if a < 0 or b < 0:
-        raise ValueError("exponents must be nonnegative")
+    _check_exponents((a, b), "expand_euler")
     out = {}
     for a1 in range(a + b + 1):
         coeff = binom(a1, a) + binom(a1, b)
@@ -220,8 +216,7 @@ def expand_euler(a: int, b: int) -> LinComb:
 def expand_1_s(a: int, b: Iterable[int]) -> LinComb:
     """Depth-1 by depth-s product in closed form."""
     b = tuple(b)
-    if a < 0:
-        raise ValueError("a must be nonnegative")
+    _check_exponents((a,), "a")
     _check_exponents(b, "b")
     s = len(b)
     out = {}
@@ -258,6 +253,7 @@ def _coeff_1_s(al: tuple[int, ...], a: int, b: tuple[int, ...]) -> int:
 
 
 def expand_1_2(a: int, b1: int, b2: int) -> LinComb:
+    _check_exponents((a, b1, b2), "expand_1_2")
     out = {}
     for al in weak_composition_list(a + b1 + b2, 3):
         coeff = (
@@ -270,6 +266,7 @@ def expand_1_2(a: int, b1: int, b2: int) -> LinComb:
 
 
 def expand_1_3(a: int, b1: int, b2: int, b3: int) -> LinComb:
+    _check_exponents((a, b1, b2, b3), "expand_1_3")
     out = {}
     for al in weak_composition_list(a + b1 + b2 + b3, 4):
         coeff = (
@@ -284,6 +281,7 @@ def expand_1_3(a: int, b1: int, b2: int, b3: int) -> LinComb:
 
 
 def expand_2_2(a1: int, a2: int, b1: int, b2: int) -> LinComb:
+    _check_exponents((a1, a2, b1, b2), "expand_2_2")
     out = {}
     for al in weak_composition_list(a1 + a2 + b1 + b2, 4):
         coeff = (
@@ -304,6 +302,7 @@ def expand_2_3(a1: int, a2: int, b1: int, b2: int, b3: int) -> LinComb:
     # Second term: the printed display shows binom(alpha_3, b2 - a4), but no
     # symbol a4 exists at these arities; alpha_4 is the oracle-validated
     # reading (see FORMULA_NOTES.md).
+    _check_exponents((a1, a2, b1, b2, b3), "expand_2_3")
     out = {}
     for al in weak_composition_list(a1 + a2 + b1 + b2 + b3, 5):
         mixed = binom(al[1], a1 + b1 - al[0])
@@ -365,6 +364,7 @@ def _c33(al, a1, a2, a3, b1, b2, b3) -> int:
 
 
 def expand_3_3(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> LinComb:
+    _check_exponents((a1, a2, a3, b1, b2, b3), "expand_3_3")
     out = {}
     for al in weak_composition_list(a1 + a2 + a3 + b1 + b2 + b3, 6):
         coeff = _c33(al, a1, a2, a3, b1, b2, b3) + _c33(al, b1, b2, b3, a1, a2, a3)

@@ -8,6 +8,8 @@ positive parameters; zero parameters are rejected rather than guessed.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .combinat import binom, weak_composition_list
 from .lincomb import LinComb
 from .restricted import expand_res_1_1, expand_res_1_2
@@ -18,6 +20,8 @@ class PositivityRequiredError(ValueError):
 
 
 def _require_positive(**params: int) -> None:
+    if not all(isinstance(v, int) for v in params.values()):
+        raise TypeError(f"parameters must be ints, got {params}")
     bad = {k: v for k, v in params.items() if v < 1}
     if bad:
         raise PositivityRequiredError(
@@ -41,6 +45,16 @@ def _assemble(blocks: list[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(exps)
 
 
+def _blocks(parts: tuple[int, ...], first: int, last: int, run: int) -> list[tuple[int, int]]:
+    """x^{p_0 + first} y x^{p_1} y ... x^{p_k + last} y^run for parts p as
+    blocks; a single part gives x^{p_0 + first + last} y^run, the r1 = 0
+    degeneration of FORMULA_NOTES.md."""
+    blocks = [(x, 1) for x in parts]
+    blocks[0] = (blocks[0][0] + first, 1)
+    blocks[-1] = (blocks[-1][0] + last, run)
+    return blocks
+
+
 def expand_lgm_1_1(a: int, r: int, b: int, s: int) -> LinComb:
     """Alternative closed form of x^a y^r . x^b y^s (positive parameters)."""
     _require_positive(a=a, r=r, b=b, s=s)
@@ -56,13 +70,7 @@ def expand_lgm_1_1(a: int, r: int, b: int, s: int) -> LinComb:
             if not mult:
                 continue
             for al in weak_composition_list(b - k, r1 + 1):
-                if r1:
-                    blocks = [(al[0] + a + k, 1)]
-                    blocks += [(x, 1) for x in al[1:-1]]
-                    blocks.append((al[-1], r2 + s))
-                else:
-                    blocks = [(al[0] + a + k, r2 + s)]
-                exps = _assemble(blocks)
+                exps = _assemble(_blocks(al, a + k, 0, r2 + s))
                 out[exps] = out.get(exps, 0) + mult
     # second sum: the x^a block split around position l+1
     for l in range(1, s + 1):
@@ -75,10 +83,7 @@ def expand_lgm_1_1(a: int, r: int, b: int, s: int) -> LinComb:
             if not mult:
                 continue
             for al in weak_composition_list(a2, l + 1):
-                blocks = [(al[0] + a1 + b, 1)]
-                blocks += [(x, 1) for x in al[1:-1]]
-                blocks.append((al[-1] + 1, r + s - l))
-                exps = _assemble(blocks)
+                exps = _assemble(_blocks(al, a1 + b, 1, r + s - l))
                 out[exps] = out.get(exps, 0) + mult
     return LinComb.from_exponents(out)
 
@@ -99,18 +104,9 @@ def _lgm12_sum1(a, r, b1, s1, b2, s2, out):
                     if not mult:
                         continue
                     for al in weak_composition_list(b1 - k, r1 + 1):
-                        head = [(al[0] + a + k, 1)]
-                        head += [(x, 1) for x in al[1:-1]]
-                        head.append((al[-1], r2 + s1))
-                        if not r1:
-                            head = [(al[0] + a + k, r2 + s1)]
+                        head = _blocks(al, a + k, 0, r2 + s1)
                         for tl in weak_composition_list(b2 - 1, r3 + 1):
-                            mid = [(tl[0] + 1, 1)]
-                            mid += [(x, 1) for x in tl[1:-1]]
-                            mid.append((tl[-1], r4 + s2))
-                            if not r3:
-                                mid = [(tl[0] + 1, r4 + s2)]
-                            exps = _assemble(head + mid)
+                            exps = _assemble(head + _blocks(tl, 1, 0, r4 + s2))
                             out[exps] = out.get(exps, 0) + mult
 
 
@@ -131,16 +127,9 @@ def _lgm12_sum2(a, r, b1, s1, b2, s2, out):
                     if not mult:
                         continue
                     for al in weak_composition_list(a2, l + 1):
-                        head = [(al[0] + a1 + b1, 1)]
-                        head += [(x, 1) for x in al[1:-1]]
-                        head.append((al[-1] + 1, r1 + s1 - l))
+                        head = _blocks(al, a1 + b1, 1, r1 + s1 - l)
                         for tl in weak_composition_list(b2 - 1, r2 + 1):
-                            mid = [(tl[0] + 1, 1)]
-                            mid += [(x, 1) for x in tl[1:-1]]
-                            mid.append((tl[-1], r3 + s2))
-                            if not r2:
-                                mid = [(tl[0] + 1, r3 + s2)]
-                            exps = _assemble(head + mid)
+                            exps = _assemble(head + _blocks(tl, 1, 0, r3 + s2))
                             out[exps] = out.get(exps, 0) + mult
 
 
@@ -158,17 +147,13 @@ def _lgm12_sum3(a, r, b1, s1, b2, s2, out):
                     if not mult:
                         continue
                     for al in weak_composition_list(a2, s1 + 1):
+                        head = _blocks(al[:-1], a1 + b1, 0, 1)
                         for tl in weak_composition_list(b2 - k, r1 + 1):
-                            blocks = [(al[0] + a1 + b1, 1)]
-                            blocks += [(x, 1) for x in al[1:-1]]
-                            merged = al[-1] + tl[0] + a3 + k + 1
-                            if r1:
-                                blocks.append((merged, 1))
-                                blocks += [(x, 1) for x in tl[1:-1]]
-                                blocks.append((tl[-1], r2 + s2))
-                            else:
-                                blocks.append((merged, r2 + s2))
-                            exps = _assemble(blocks)
+                            # the merged run x^{alpha_{s1+1} + atilde_1 + a3 + k + 1};
+                            # at r1 = 0 it takes the whole tail y-run (see
+                            # FORMULA_NOTES.md)
+                            tail = _blocks(tl, al[-1] + a3 + k + 1, 0, r2 + s2)
+                            exps = _assemble(head + tail)
                             out[exps] = out.get(exps, 0) + mult
 
 
@@ -188,38 +173,34 @@ def _lgm12_sum4(a, r, b1, s1, b2, s2, out):
                 for a2 in range(0, a - 1 - a1 - a3 + 1):
                     a4 = a - 1 - a1 - a3 - a2
                     for al in weak_composition_list(a2, s1):
-                        head = [(al[0] + a1 + b1, 1)]
-                        head += [(x, 1) for x in al[1:]]
+                        head = _blocks(al, a1 + b1, 0, 1)
                         for tl in weak_composition_list(a4, l + 1):
-                            mid = [(tl[0] + a3 + b2, 1)]
-                            mid += [(x, 1) for x in tl[1:-1]]
-                            mid.append((tl[-1] + 1, r + s2 - l))
-                            exps = _assemble(head + mid)
+                            exps = _assemble(head + _blocks(tl, a3 + b2, 1, r + s2 - l))
                             out[exps] = out.get(exps, 0) + m2
 
 
 _LGM12_SUMS = {1: _lgm12_sum1, 2: _lgm12_sum2, 3: _lgm12_sum3, 4: _lgm12_sum4}
 
 
-def lgm_1_2_sum(index: int, a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinComb:
-    """One of the four sums of the alternative 1x2 formula, on its own."""
-    try:
-        fn = _LGM12_SUMS[index]
-    except KeyError:
-        raise ValueError(f"sum index must be 1..4, got {index}") from None
+def _sum_lgm12(sums: Iterable, a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinComb:
+    """Check the parameters are positive, then add up the given sums."""
     _require_positive(a=a, r=r, b1=b1, s1=s1, b2=b2, s2=s2)
     out: dict = {}
-    fn(a, r, b1, s1, b2, s2, out)
+    for fn in sums:
+        fn(a, r, b1, s1, b2, s2, out)
     return LinComb.from_exponents(out)
+
+
+def lgm_1_2_sum(index: int, a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinComb:
+    """One of the four sums of the alternative 1x2 formula, on its own."""
+    if index not in _LGM12_SUMS:
+        raise ValueError(f"sum index must be 1..4, got {index}")
+    return _sum_lgm12([_LGM12_SUMS[index]], a, r, b1, s1, b2, s2)
 
 
 def expand_lgm_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinComb:
     """Alternative closed form of x^a y^r . x^{b1} y^{s1} x^{b2} y^{s2}."""
-    _require_positive(a=a, r=r, b1=b1, s1=s1, b2=b2, s2=s2)
-    out: dict = {}
-    for fn in _LGM12_SUMS.values():
-        fn(a, r, b1, s1, b2, s2, out)
-    return LinComb.from_exponents(out)
+    return _sum_lgm12(_LGM12_SUMS.values(), a, r, b1, s1, b2, s2)
 
 
 # ---------------------------------------------------------------------------

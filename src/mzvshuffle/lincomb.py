@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from itertools import filterfalse
 from typing import Iterable, Mapping
 
 from .words import _RUN_CHUNK, Word, _admissible, _canonical, _checked
@@ -119,16 +118,16 @@ class LinComb:
     def all_admissible(self) -> bool:
         return all(map(_admissible, self._terms))
 
-    def render(self, fmt: str = "plain", *, zeta: bool | None = None) -> str:
+    def render(self, fmt: str = "plain") -> str:
         """Deterministic rendering in 'plain', 'latex' or 'json' form.
 
-        In latex form, zeta notation is used when every word is admissible
-        (override with the explicit flag).
+        In latex form, zeta notation is used exactly when every word is
+        admissible.
         """
         if fmt == "plain":
             return self._render_plain()
         if fmt == "latex":
-            return self._render_latex(zeta)
+            return self._render_latex()
         if fmt == "json":
             return self._render_json()
         raise ValueError(f"unknown format {fmt!r}")
@@ -168,20 +167,15 @@ class LinComb:
             first[1] = "1"
         return "".join(self._printed(texts, self._marks(" + ", " - ", "*"), first, _run_length_text))
 
-    def _render_latex(self, zeta: bool | None) -> str:
+    def _render_latex(self) -> str:
         texts = self._sorted()
-        bad = next(filterfalse(_admissible, texts), None)
-        if zeta is None:
-            zeta = bad is None
-        elif zeta and bad is not None:
-            _zeta_index(bad)  # raises NotAdmissibleError
         if not texts:
             return "0"
         # the empty word sorts first and prints as its coefficient alone
         lead = self._terms[texts[0]]
         first = {0: str(lead) if not texts[0] else _sign(lead, "", "-", "")}
         marks = self._marks("+", "-", "")
-        if zeta:
+        if self.all_admissible():
             # zeta notation prints no letters: the bodies need no run lengths
             return "".join(self._printed(texts, marks, first, str, body=_zeta_body))
         printer = partial(_run_length_text, latex=True)

@@ -42,18 +42,34 @@ def _inner_shuffles(extra_ys: int, gap: int) -> int:
     return 1 if extra_ys == 0 else 0
 
 
-def _window(width: int, pinned: dict[int, tuple[int, bool]]) -> tuple[tuple[int, bool], ...]:
-    """binomial_chains steps for a window of `width` parts: binom(w_i, beta_i)
-    at the positions `pinned` names, as (c, prefix), and no condition on the
-    other parts.  Every pinned position lies before the last part."""
-    return tuple(pinned.get(i, (0, False)) for i in range(width - 1))
+def _chains(width: int, total: int, pinned: dict[int, tuple[int, bool]]):
+    """binomial_chains for a window of `width` parts summing to `total`:
+    binom(w_i, beta_i) at the positions `pinned` names, as (c, prefix), and
+    no condition on the other parts.  Every pinned position lies before the
+    last part."""
+    return binomial_chains(tuple(pinned.get(i, (0, False)) for i in range(width - 1)), total)
 
 
 def _check_run(a: int, r: int) -> None:
+    if not isinstance(a, int) or not isinstance(r, int):
+        raise TypeError(f"a run takes an int x-exponent and y-run length, got {(a, r)}")
     if a < 0:
         raise ValueError(f"x-exponent must be nonnegative, got {a}")
     if r < 1:
         raise ValueError(f"y-run length must be positive, got {r}")
+
+
+def _sum_cases(cases: Iterable, *calls: tuple[int, ...]) -> LinComb:
+    """Check the runs (x-exponent, y-run pairs) of calls[0], then sum every
+    case function of `cases` at each argument tuple of `calls`."""
+    args = calls[0]
+    for a, r in zip(args[::2], args[1::2]):
+        _check_run(a, r)
+    out: dict = {}
+    for fn in cases:
+        for call in calls:
+            fn(*call, out)
+    return LinComb.from_exponents(out)
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +77,7 @@ def _check_run(a: int, r: int) -> None:
 
 
 def expand_res_1_1(a: int, r: int, b: int, s: int) -> LinComb:
-    _check_run(a, r)
-    _check_run(b, s)
-    out: dict = {}
-    _res_1_1_half(a, r, b, s, out)
-    _res_1_1_half(b, s, a, r, out)
-    return LinComb.from_exponents(out)
+    return _sum_cases([_res_1_1_half], (a, r, b, s), (b, s, a, r))
 
 
 def _res_1_1_half(a: int, r: int, b: int, s: int, out: dict) -> None:
@@ -136,8 +147,7 @@ def _res12_case_iii(a, r, b1, s1, b2, s2, out):
         if not mult:
             continue
         tail = (0,) * (r2 + s2 - 1)
-        steps = _window(r1 + s1 + 1, {0: (b1, False), s1: (a + b1, True)})
-        for w, coeff in binomial_chains(steps, a + b1 + b2):
+        for w, coeff in _chains(r1 + s1 + 1, a + b1 + b2, {0: (b1, False), s1: (a + b1, True)}):
             _add(out, w + tail, mult * coeff)
 
 
@@ -147,8 +157,7 @@ def _res12_case_iv(a, r, b1, s1, b2, s2, out):
         if not mult:
             continue
         tail = (0,) * (r + s2 - l - 1)
-        steps = _window(s1 + l + 1, {0: (b1, False), s1: (b2, False)})
-        for w, coeff in binomial_chains(steps, a + b1 + b2):
+        for w, coeff in _chains(s1 + l + 1, a + b1 + b2, {0: (b1, False), s1: (b2, False)}):
             _add(out, w + tail, mult * coeff)
 
 
@@ -162,26 +171,13 @@ _RES12_CASES = {
 
 def res_1_2_case(case: str, a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinComb:
     """Contribution of a single y-interleaving case; mostly for verification."""
-    try:
-        fn = _RES12_CASES[case]
-    except KeyError:
-        raise ValueError(f"unknown case {case!r}") from None
-    _check_run(a, r)
-    _check_run(b1, s1)
-    _check_run(b2, s2)
-    out: dict = {}
-    fn(a, r, b1, s1, b2, s2, out)
-    return LinComb.from_exponents(out)
+    if case not in _RES12_CASES:
+        raise ValueError(f"unknown case {case!r}")
+    return _sum_cases([_RES12_CASES[case]], (a, r, b1, s1, b2, s2))
 
 
 def expand_res_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinComb:
-    _check_run(a, r)
-    _check_run(b1, s1)
-    _check_run(b2, s2)
-    out: dict = {}
-    for fn in _RES12_CASES.values():
-        fn(a, r, b1, s1, b2, s2, out)
-    return LinComb.from_exponents(out)
+    return _sum_cases(_RES12_CASES.values(), (a, r, b1, s1, b2, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +240,8 @@ def _res22_case_iii(a1, r1, a2, r2, b1, s1, b2, s2, out):
         if not mult:
             continue
         tail = (0,) * (l2 + s2 - 1)
-        steps = _window(
-            r1 + l1 + s1 + 1,
-            {0: (a1, False), r1: (a1 + b1, True), r1 + s1: (a1 + a2 + b1, True)},
-        )
-        for w, coeff in binomial_chains(steps, a1 + a2 + b1 + b2):
+        pinned = {0: (a1, False), r1: (a1 + b1, True), r1 + s1: (a1 + a2 + b1, True)}
+        for w, coeff in _chains(r1 + l1 + s1 + 1, a1 + a2 + b1 + b2, pinned):
             _add(out, w + tail, mult * coeff)
 
 
@@ -258,10 +251,8 @@ def _res22_case_iv(a1, r1, a2, r2, b1, s1, b2, s2, out):
         if not mult:
             continue
         tail = (0,) * (r2 + s2 - k - 1)
-        steps = _window(
-            r1 + s1 + k + 1, {0: (a1, False), r1: (a1 + b1, True), r1 + s1: (b2, False)}
-        )
-        for w, coeff in binomial_chains(steps, a1 + a2 + b1 + b2):
+        pinned = {0: (a1, False), r1: (a1 + b1, True), r1 + s1: (b2, False)}
+        for w, coeff in _chains(r1 + s1 + k + 1, a1 + a2 + b1 + b2, pinned):
             _add(out, w + tail, mult * coeff)
 
 
@@ -313,10 +304,8 @@ def _res22_case_vi(a1, r1, a2, r2, b1, s1, b2, s2, out):
                 z2 = (0,) * (r2 + s2 - l2 - 1)
                 # w2 (s1 - k + 1 parts, the last closing the a2 prefix) and
                 # w3 (l2 parts) walked as one window
-                second = binomial_chains(
-                    _window(s1 - k + 1 + l2, {s1 - k: (a2, True)}), a2 + b2
-                )
-                for w1, c1 in binomial_chains(_window(l1 + 1, {0: (a1, False)}), a1 + b1):
+                second = _chains(s1 - k + 1 + l2, a2 + b2, {s1 - k: (a2, True)})
+                for w1, c1 in _chains(l1 + 1, a1 + b1, {0: (a1, False)}):
                     for w, c2 in second:
                         _add(out, w1 + z1 + w + z2, mult * c1 * c2)
 
@@ -334,8 +323,8 @@ def _res22_case_vii(a1, r1, a2, r2, b1, s1, b2, s2, out):
                 z1 = (0,) * (k1 + r1 - l - 1)
                 z2 = (0,) * (r2 + s2 - k2 - 1)
                 mix = s1 - k1  # index of position r1+s1+1 within the window
-                second = binomial_chains(_window(mix + k2 + 1, {mix: (b2, False)}), a2 + b2)
-                for w1, c1 in binomial_chains(_window(l + 1, {0: (a1, False)}), a1 + b1):
+                second = _chains(mix + k2 + 1, a2 + b2, {mix: (b2, False)})
+                for w1, c1 in _chains(l + 1, a1 + b1, {0: (a1, False)}):
                     for w, c2 in second:
                         _add(out, w1 + z1 + w + z2, mult * c1 * c2)
 
@@ -445,27 +434,16 @@ def res_2_2_case(
     case: str, a1: int, r1: int, a2: int, r2: int, b1: int, s1: int, b2: int, s2: int
 ) -> LinComb:
     """Contribution of one first-factor-leading y-interleaving case."""
-    try:
-        fn = _RES22_CASES[case]
-    except KeyError:
-        raise ValueError(f"unknown case {case!r}") from None
-    for a, r in ((a1, r1), (a2, r2), (b1, s1), (b2, s2)):
-        _check_run(a, r)
-    out: dict = {}
-    fn(a1, r1, a2, r2, b1, s1, b2, s2, out)
-    return LinComb.from_exponents(out)
+    if case not in _RES22_CASES:
+        raise ValueError(f"unknown case {case!r}")
+    return _sum_cases([_RES22_CASES[case]], (a1, r1, a2, r2, b1, s1, b2, s2))
 
 
 def expand_res_2_2(
     a1: int, r1: int, a2: int, r2: int, b1: int, s1: int, b2: int, s2: int
 ) -> LinComb:
-    for a, r in ((a1, r1), (a2, r2), (b1, s1), (b2, s2)):
-        _check_run(a, r)
-    out: dict = {}
-    for fn in _RES22_CASES.values():
-        fn(a1, r1, a2, r2, b1, s1, b2, s2, out)
-        fn(b1, s1, b2, s2, a1, r1, a2, r2, out)
-    return LinComb.from_exponents(out)
+    first, second = (a1, r1, a2, r2), (b1, s1, b2, s2)
+    return _sum_cases(_RES22_CASES.values(), first + second, second + first)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +456,7 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
     Sums over positive compositions of the total y-count and over all
     orderings of the factors; factorial growth caps n at MAX_NFOLD.
     """
-    pairs = [(int(a), int(r)) for a, r in pairs]
+    pairs = [(a, r) for a, r in pairs]
     if not pairs:
         raise ValueError("need at least one factor")
     if len(pairs) > MAX_NFOLD:
@@ -520,13 +498,13 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
 
 def expand_nfold_depth1(exps: Iterable[int]) -> LinComb:
     """n-fold product with all y-runs of length one."""
-    exps = tuple(int(x) for x in exps)
+    exps = tuple(exps)
     if not exps:
         raise ValueError("need at least one factor")
     if len(exps) > MAX_NFOLD:
         raise ValueError(f"n-fold expansion is capped at n = {MAX_NFOLD}, got {len(exps)}")
-    if any(a < 0 for a in exps):
-        raise ValueError("exponents must be nonnegative")
+    for a in exps:
+        _check_run(a, 1)
     n = len(exps)
     out: dict = {}
     for alphas in weak_composition_list(sum(exps), n):

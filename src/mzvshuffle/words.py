@@ -102,11 +102,11 @@ def _run_length_text(text: str, latex: bool = False) -> str:
     return "".join(parts)
 
 
-def _run_lengths(texts: list[str], latex: bool = False) -> list[str]:
+def _run_lengths(texts: list[str]) -> list[str]:
     """Each word in run-length form, '1' for the empty word."""
     out: list[str] = []
     for start in range(0, len(texts), _RUN_CHUNK):
-        out += _run_length_text("\n".join(texts[start:start + _RUN_CHUNK]), latex).split("\n")
+        out += _run_length_text("\n".join(texts[start:start + _RUN_CHUNK])).split("\n")
     return [text or "1" for text in out]
 
 

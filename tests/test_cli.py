@@ -2,6 +2,8 @@ import inspect
 import itertools
 import json
 import math
+import pathlib
+import subprocess
 import sys
 import time
 
@@ -383,3 +385,34 @@ def test_python_m_runs_the_cli(capsys, monkeypatch):
         runpy.run_module("mzvshuffle", run_name="__main__")
     assert stop.value.code == 0
     assert capsys.readouterr().out == "yxy + 2*xy^2\n"
+
+
+STDLIB_ONLY = """
+import contextlib, importlib, io, pkgutil, sys
+import mzvshuffle
+from mzvshuffle import cli
+for module in pkgutil.iter_modules(mzvshuffle.__path__):
+    importlib.import_module("mzvshuffle." + module.name)
+runs = (
+    ["shuffle", "xy", "xy", "--format", "json"],
+    ["verify", "res11", "--max-weight", "4", "--jobs", "2"],
+    ["identity", "xy", "xy"],
+)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+top = {name.partition(".")[0] for name in sys.modules}
+print(codes, sorted(top - set(sys.stdlib_module_names) - {"mzvshuffle", "__main__"}))
+"""
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies, but the test extras are
+    # installed here, so an import of one of them would pass unnoticed: run
+    # the package with -S (no site-packages) and list every module it loaded
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r})" + STDLIB_ONLY
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0] []\n"

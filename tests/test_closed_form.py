@@ -16,7 +16,15 @@ from mzvshuffle.closed_form import (
     gamma_sequence,
 )
 from mzvshuffle.combinat import binom, weak_composition_list
+from mzvshuffle.equivalence import expand_lgm_1_1, expand_lgm_1_2
 from mzvshuffle.lincomb import LinComb
+from mzvshuffle.restricted import (
+    expand_nfold,
+    expand_nfold_depth1,
+    expand_res_1_1,
+    expand_res_1_2,
+    expand_res_2_2,
+)
 from mzvshuffle.shuffle import shuffle_recursive
 from mzvshuffle.words import Word, from_exponent_form
 
@@ -278,3 +286,39 @@ def test_expand_2_3_printed_a4_reading_fails():
             if with_a2_reading(*exps) != want:
                 mismatches += 1
     assert mismatches > 0
+
+
+# ---------------------------------------------------------------------------
+# every expander refuses a negative exponent and a non-int one
+
+
+EXPANDER_INPUTS = [
+    # (expander, arguments with a negative exponent, arguments with a float)
+    (expand_general, ((2, -1), (1,)), ((2, 1.5), (1,))),
+    (expand_euler, (-1, 2), (1.5, 2)),
+    (expand_1_s, (2, (1, -1)), (1.5, (1, 1))),
+    (expand_1_2, (-1, 2, 0), (1.5, 2, 0)),
+    (expand_1_3, (2, -1, 0, 0), (2, 1.5, 0, 0)),
+    (expand_2_2, (1, -1, 1, 1), (1, 1.5, 1, 1)),
+    (expand_2_3, (1, -1, 1, 1, 1), (1, 1.5, 1, 1, 1)),
+    (expand_3_3, (1, -1, 1, 1, 1, 1), (1, 1.5, 1, 1, 1, 1)),
+    (expand_res_1_1, (-1, 1, 2, 1), (1.5, 1, 1, 1)),
+    (expand_res_1_2, (1, 1, -1, 1, 2, 1), (1, 1, 1.5, 1, 2, 1)),
+    (expand_res_2_2, (1, 1, -1, 1, 1, 1, 1, 1), (1, 1, 1.5, 1, 1, 1, 1, 1)),
+    (expand_nfold, ([(-1, 1), (2, 1)],), ([(1.5, 1), (1, 1)],)),
+    (expand_nfold_depth1, ([-1, 2],), ([1.5, 1],)),
+    (expand_lgm_1_1, (-1, 1, 2, 1), (1.5, 1, 1, 1)),
+    (expand_lgm_1_2, (1, 1, -1, 1, 2, 1), (1, 1, 1.5, 1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, negative, non_int", EXPANDER_INPUTS, ids=[case[0].__name__ for case in EXPANDER_INPUTS]
+)
+def test_expanders_refuse_bad_exponents(fn, negative, non_int):
+    # each negative input keeps the total x-degree nonnegative, so no
+    # composition count catches it first
+    with pytest.raises(ValueError, match="nonnegative|positive"):
+        fn(*negative)
+    with pytest.raises(TypeError, match="int"):
+        fn(*non_int)

@@ -58,7 +58,6 @@ def test_render_latex_zeta_mode():
     # non-admissible words fall back to word notation
     q = LinComb({Word("yx"): 1, Word("xxyy"): 2})
     assert q.render("latex") == "yx+2x^{2}y^{2}"
-    assert q.render("latex", zeta=False) == "yx+2x^{2}y^{2}"
 
 
 def test_render_literals():
@@ -66,7 +65,7 @@ def test_render_literals():
     # three formats; each string is the output of the Word-keyed printer
     p = LinComb({"": 3, "x" * 10 + "y": -1, "yx": 2**70})
     assert p.render() == "3*1 + 1180591620717411303424*yx - x^10y"
-    assert p.render("latex", zeta=False) == "3+1180591620717411303424yx-x^{10}y"
+    assert p.render("latex") == "3+1180591620717411303424yx-x^{10}y"
     assert p.render("json") == (
         '{"terms": [{"word": "1", "coeff": "3"}, '
         '{"word": "yx", "coeff": "1180591620717411303424"}, '
@@ -118,14 +117,6 @@ def test_string_keys_are_checked():
         LinComb({"x^2y": 1})
     with pytest.raises(ValueError):
         LinComb.zero().coefficient("xz")
-
-
-def test_render_latex_explicit_zeta_on_bad_words():
-    from mzvshuffle.words import NotAdmissibleError
-
-    q = LinComb({Word("yx"): 1})
-    with pytest.raises(NotAdmissibleError):
-        q.render("latex", zeta=True)
 
 
 def test_render_unknown_format():
@@ -267,10 +258,9 @@ def admissible_part(p):
 @given(render_cases())
 def test_render_matches_reference(p):
     assert p.render() == reference_render(p, "plain")
-    assert p.render("latex", zeta=False) == reference_render(p, "latex")
     assert p.render("latex") == reference_render(p, "latex", zeta=p.all_admissible())
     q = admissible_part(p)
-    assert q.render("latex", zeta=True) == q.render("latex") == reference_render(q, "latex", zeta=True)
+    assert q.render("latex") == reference_render(q, "latex", zeta=True)
     assert p.render("json") == json.dumps(p.to_json_obj())
     assert LinComb.from_json_obj(json.loads(p.render("json"))) == p
 
