@@ -48,7 +48,6 @@ for compatibility, but they do not change the value.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import accumulate
 from operator import floordiv, lshift, mul
@@ -73,14 +72,11 @@ _EMPTY_ROW = [_ONE] + [0] * SERIES_TERMS
 _DUAL = str.maketrans("xy", "yx")
 _OTHER = {"x": "y", "y": "x"}
 
-# Caches shared by the words of one process, keyed by suffixes of at most
-# _CACHED_LETTERS letters: V of up to 2^14 suffixes (about 3 MB at most) and
-# the rows of the 256 most recently computed ones (about 1.7 MB)
+# The one cache the words of a process share below the per-word one: the row
+# and V of each suffix of at most _CACHED_LETTERS letters, least recently used
+# first out.  A row takes 6.2-6.7 KB, so a full cache holds about 7 MB.
 _CACHED_LETTERS = 64
-_CACHED_VALUES = 1 << 14
-_CACHED_ROWS = 256
-_SUFFIX_VALUES: dict[str, int] = {}
-_SUFFIX_ROWS: OrderedDict[str, list[int]] = OrderedDict()
+_CACHED_SUFFIXES = 1024
 
 
 class _Fields(NamedTuple):
@@ -126,31 +122,24 @@ def _li(row: list[int]) -> int:
     return sum(map(lshift, row, _SHIFTS)) >> SERIES_TERMS
 
 
-def _row(word: str) -> list[int]:
-    """The row of a suffix of at most _CACHED_LETTERS letters, from the
-    longest of its suffixes whose row is cached."""
-    start = 0
-    while start < len(word) and word[start:] not in _SUFFIX_ROWS:
-        start += 1
-    row = _SUFFIX_ROWS[word[start:]] if start < len(word) else _EMPTY_ROW
-    for letter in reversed(word[:start]):
-        row = _step(letter, row)
-    return row
+@lru_cache(maxsize=_CACHED_SUFFIXES)
+def _suffix(word: str) -> tuple[list[int], int]:
+    """(row, V) of a word of at most _CACHED_LETTERS letters, the row stepped
+    from the cached row of word[1:]; the empty word gives (_EMPTY_ROW, 2^P)."""
+    if not word:
+        return _EMPTY_ROW, _ONE
+    row = _step(word[0], _suffix(word[1:])[0])
+    return row, _li(row)
 
 
 def _suffix_values(word: str) -> list[int]:
     """V of word[j:] for j = 0..len(word), for a word ending in y."""
-    size = len(word)
-    cached = max(size - _CACHED_LETTERS, 0)  # suffixes word[cached:] and shorter
-    values = [_ONE] * (size + 1)
-    known = size  # values[known:] are filled
-    while known > cached and (value := _SUFFIX_VALUES.get(word[known - 1 :])) is not None:
-        known -= 1
-        values[known] = value
-    if not known:
-        return values
-    row = _row(word[known:])
-    i = known
+    cached = max(len(word) - _CACHED_LETTERS, 0)  # suffixes word[cached:] and shorter
+    values = [_ONE] * (len(word) + 1)
+    # shortest first, so each _suffix call finds the row of word[i + 1:]
+    for i in range(len(word), cached - 1, -1):
+        row, values[i] = _suffix(word[i:])
+    i = cached
     while i:
         i -= 1
         letter = word[i]
@@ -164,13 +153,6 @@ def _suffix_values(word: str) -> list[int]:
             continue
         row = new
         values[i] = _li(row)
-        if i >= cached:
-            suffix = word[i:]
-            if len(_SUFFIX_VALUES) < _CACHED_VALUES:
-                _SUFFIX_VALUES[suffix] = values[i]
-            _SUFFIX_ROWS[suffix] = row
-            if len(_SUFFIX_ROWS) > _CACHED_ROWS:
-                _SUFFIX_ROWS.popitem(last=False)
     return values
 
 
@@ -210,7 +192,7 @@ def mzv_eval(idx: Iterable[int], terms: int = DEFAULT_TERMS) -> NumericResult:
     result, which is computed at a fixed precision (see the module
     docstring).
     """
-    word = mzv_to_word(int(k) for k in idx)
+    word = mzv_to_word(idx)
     _check_terms(terms)
     return _result(*_zeta_fixed(word.text))
 

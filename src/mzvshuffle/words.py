@@ -251,6 +251,8 @@ def from_exponent_form(exps: Iterable[int]) -> Word:
     exps = tuple(exps)
     if not exps:
         raise ValueError("exponent form needs at least one entry")
+    if not all(isinstance(a, int) for a in exps):
+        raise TypeError(f"exponents must be ints, got {exps}")
     if any(a < 0 for a in exps):
         raise ValueError(f"exponents must be nonnegative, got {exps}")
     return Word(_exponent_text(exps))
@@ -264,6 +266,8 @@ def word_to_mzv(word: Word) -> tuple[int, ...]:
 def mzv_to_word(ks: Iterable[int]) -> Word:
     """Admissible word for a zeta index; inverse of word_to_mzv."""
     ks = tuple(ks)
+    if not all(isinstance(k, int) for k in ks):
+        raise TypeError(f"zeta index entries must be ints, got {ks}")
     if not ks or any(k < 1 for k in ks) or ks[0] < 2:
         raise NotAdmissibleError(
             f"zeta index must have k_1 >= 2 and all entries >= 1, got {ks}"

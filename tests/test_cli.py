@@ -377,6 +377,20 @@ def test_console_script_installed():
     assert proc.stdout.strip() == "yxy + 2*xy^2"
 
 
+def test_console_script_declaration_resolves(capsys):
+    # test_console_script_installed needs the package installed; this reads
+    # the entry point from pyproject.toml and calls it in process
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["mzvshuffle"]
+    module, _, name = target.partition(":")
+    code = getattr(importlib.import_module(module), name)(["shuffle", "xy", "y"])
+    assert code == 0
+    assert capsys.readouterr().out == "yxy + 2*xy^2\n"
+
+
 def test_python_m_runs_the_cli(capsys, monkeypatch):
     import runpy
 

@@ -235,8 +235,7 @@ def test_suffix_caches_do_not_change_values():
     words = [Word("".join("x" * (k - 1) + "y" for k in ks)).text for ks in _admissible_indices(9)]
 
     def fresh(order):
-        numeric._SUFFIX_VALUES.clear()
-        numeric._SUFFIX_ROWS.clear()
+        numeric._suffix.cache_clear()
         # the values themselves, not the per-word cache in front of them
         return {w: numeric._zeta_fixed.__wrapped__(w) for w in order}
 
@@ -262,8 +261,7 @@ def test_index_and_word_evaluations_agree():
     values = []
     for order in ((by_index, by_word), (by_word, by_index)):
         numeric._zeta_fixed.cache_clear()
-        numeric._SUFFIX_VALUES.clear()
-        numeric._SUFFIX_ROWS.clear()
+        numeric._suffix.cache_clear()
         values.append([[evaluate(w) for evaluate in order] for w in words])
     assert all(first == second for first, second in values[0])
     assert values[0] == values[1]
@@ -279,9 +277,56 @@ def test_run_skipping_matches_letter_by_letter():
         for letter in reversed(word):
             row = numeric._step(letter, row)
             want.append(numeric._li(row))
-        numeric._SUFFIX_VALUES.clear()
-        numeric._SUFFIX_ROWS.clear()
+        numeric._suffix.cache_clear()
         assert numeric._suffix_values(word) == want[::-1], word
+
+
+def test_each_suffix_is_stepped_and_summed_once(monkeypatch):
+    # the 45 words of x^8 y ш x^5 y^2 and their duals have 709 distinct
+    # nonempty suffixes, all short enough for the suffix cache
+    from mzvshuffle import numeric
+    from mzvshuffle.shuffle import shuffle_recursive
+
+    calls = {"_step": 0, "_li": 0}
+
+    def counted(name):
+        function = getattr(numeric, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(numeric, name, counted(name))
+    product = shuffle_recursive(Word("x" * 8 + "y"), Word("x" * 5 + "yy"))
+    dual = str.maketrans("xy", "yx")
+    suffixes = {w[j:] for text in product._terms for w in (text, text[::-1].translate(dual))
+                for j in range(len(w))}
+    assert (len(product._terms), len(suffixes)) == (45, 709)
+    numeric._zeta_fixed.cache_clear()
+    numeric._suffix.cache_clear()
+    zeta_of_lincomb(product)
+    assert calls == {"_step": 709, "_li": 709}
+
+
+def test_suffix_eviction_does_not_change_values(monkeypatch):
+    # words that cross the cached length, evaluated in both orders through a
+    # two-entry suffix cache, against the values at the full cache size
+    from functools import lru_cache
+
+    from mzvshuffle import numeric
+
+    long = "x" * 70 + "y" + "xxx" + "y"
+    words = [long, "y" + long, "xy" + long, long.translate(str.maketrans("xy", "yx"))[::-1],
+             "xxy", "x" * 64 + "y", "x" * 65 + "y"]
+    numeric._suffix.cache_clear()
+    want = {w: numeric._suffix_values(w) for w in words}
+    monkeypatch.setattr(numeric, "_suffix", lru_cache(maxsize=2)(numeric._suffix.__wrapped__))
+    for order in (words, words[::-1]):
+        assert {w: numeric._suffix_values(w) for w in order} == want
+    assert numeric._suffix.cache_info().currsize == 2
 
 
 def test_round_up():

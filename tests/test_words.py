@@ -1,9 +1,11 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mzvshuffle import words
+from mzvshuffle.numeric import mzv_eval
 from mzvshuffle.words import (
     EMPTY_WORD,
     ExponentOverflowError,
@@ -97,6 +99,15 @@ def test_mzv_to_word_roundtrip():
     assert mzv_to_word((3, 1)) == Word("xxyy")
     with pytest.raises(NotAdmissibleError):
         mzv_to_word((1, 2))
+
+
+@pytest.mark.parametrize("convert", [mzv_eval, mzv_to_word, from_exponent_form])
+@pytest.mark.parametrize("index", [(2.5,), ("3", "1")])
+def test_index_entries_must_be_ints(convert, index):
+    # a float or a string is refused, not truncated or parsed: mzv_eval once
+    # returned zeta(2) for (2.5,) and zeta(3, 1) for ("3", "1")
+    with pytest.raises(TypeError, match=re.escape(repr(index))):
+        convert(index)
 
 
 def test_parse_mzv_index():
