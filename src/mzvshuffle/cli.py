@@ -31,10 +31,11 @@ EXIT_DOMAIN = 3
 
 # Limits of the shuffle methods, each tested by _refusal before any work, for
 # words of n and m letters with r and s y's.  The oracle's output has up to
-# C(n+m, n) words of n+m letters.  The enumeration visits C(n+m, n)
-# interleavings.  The closed form walks C(r+s, r) y-block layouts, and its
-# output words have L = n+m letters, end in y and hold all Y = r+s y's.
+# min(C(n+m, n), C(n+m, r+s)) words of n+m letters.  The enumeration visits
+# C(n+m, n) interleavings.  The closed form walks C(r+s, r) y-block layouts,
+# and its output words have L = n+m letters, end in y and hold all Y = r+s y's.
 ORACLE_MAX_LETTERS = 500
+ORACLE_MAX_PRINTED = 10**9
 PERMUTATION_MAX_INTERLEAVINGS = 10**6
 GENERAL_MAX_LAYOUTS = 10**5
 GENERAL_MAX_LETTERS = 10**8
@@ -68,8 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("recursive", "permutation", "general", "auto"),
         default="auto",
-        help=f"recursive refuses pairs of more than {ORACLE_MAX_LETTERS} letters; auto "
-        "(the default) runs general on those if both words end in y, else recursive; "
+        help=f"recursive refuses pairs of more than {ORACLE_MAX_LETTERS} letters or past "
+        "its output limit; auto (the default) runs general on those if both words end "
+        "in y, else recursive; "
         "general runs the closed form and needs both words ending in y; permutation "
         "and general refuse pairs past their work limits",
     )
@@ -129,6 +131,17 @@ def _general_letters(n: int, m: int, ys: int) -> int:
     return size * min(_binomial_capped(size - 1, ys - 1, cap), _binomial_capped(size, n, cap))
 
 
+def _oracle_letters(n: int, m: int, ys: int) -> int:
+    """min(C(L, Y), C(L, n)) * L for L = n+m letters and Y = ys y's, a bound
+    on the letters the oracle prints, or some number above
+    ORACLE_MAX_PRINTED."""
+    size = n + m
+    if not size:
+        return 0
+    cap = ORACLE_MAX_PRINTED // size
+    return size * min(_binomial_capped(size, ys, cap), _binomial_capped(size, n, cap))
+
+
 def _refusal(method: str, u: Word, v: Word) -> str | None:
     """Why `method` refuses to shuffle u and v, or None when it takes them."""
     n, m = len(u), len(v)
@@ -136,6 +149,11 @@ def _refusal(method: str, u: Word, v: Word) -> str | None:
         if n + m > ORACLE_MAX_LETTERS:
             return (f"{n} + {m} letters are too many for the recursive shuffle "
                     f"oracle, which takes at most {ORACLE_MAX_LETTERS}")
+        ys = u.y_count + v.y_count
+        if _oracle_letters(n, m, ys) > ORACLE_MAX_PRINTED:
+            return (f"min(C({n + m}, {ys}), C({n + m}, {n})) words of {n + m} letters "
+                    f"may be too many for the recursive shuffle oracle, which prints "
+                    f"at most {ORACLE_MAX_PRINTED} letters")
     elif method == "permutation":
         limit = PERMUTATION_MAX_INTERLEAVINGS
         if _binomial_capped(n + m, n, limit) > limit:

@@ -110,6 +110,29 @@ def binomial_chains(
     return tuple([(w + (total - used,), coeff) for w, used, coeff in states])
 
 
+def distinct_orderings(items) -> tuple[list[tuple], int]:
+    """Each distinct ordering of the multiset `items` once, in lexicographic
+    order, and how many of the len(items)! orderings each one stands for:
+    the product of the factorials of the multiplicities."""
+    seq = sorted(items)
+    n = len(seq)
+    out = []
+    while True:
+        out.append(tuple(seq))
+        # the next ordering in lexicographic order; equal items never swap
+        i = n - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            break
+        j = n - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = reversed(seq[i + 1 :])
+    return out, math.factorial(n) // len(out)
+
+
 def prefix_sums(seq) -> tuple[int, ...]:
     """(0, s1, s1+s2, ...): prefix_sums(seq)[i] is the sum of the first i items."""
     out = [0]

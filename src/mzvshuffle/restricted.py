@@ -7,13 +7,14 @@ case can be checked on its own against an oracle restricted to that pattern.
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Iterable
 
 from .combinat import (
     binom,
     binomial_chains,
     composition_list,
+    distinct_orderings,
     prefix_sums,
     weak_composition_list,
 )
@@ -450,11 +451,44 @@ def expand_res_2_2(
 # n-fold products x^{a1} y^{r1} . x^{a2} y^{r2} . ... . x^{an} y^{rn}
 
 
+def _x_table(a_seq: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The x-factors of one factor ordering, tabulated by the prefix sums
+    they read.
+
+    For x-exponents a_1 ... a_n in that order and A = a_1 + ... + a_n, each
+    nondecreasing (P_1, ..., P_{n-1}) with P_{n-1} <= A is paired with
+    prod_j binom(P_j - (a_1 + ... + a_{j-1}), a_j) where that is nonzero.
+    P_j is walked from max(P_{j-1}, a_1 + ... + a_j), where its factor
+    starts to be nonzero, up to A; every branch reaches a tuple.
+    """
+    total = sum(a_seq)
+    comb = math.comb
+    states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+    used = 0
+    for a in a_seq[:-1]:
+        nxt = []
+        add = nxt.append
+        for key, prev, coeff in states:
+            for p in range(max(prev, used + a), total + 1):
+                add((key + (p,), p, coeff * comb(p - used, a)))
+        states = nxt
+        used += a
+    return [(key, coeff) for key, _, coeff in states]
+
+
 def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
     """Closed form of the n-fold product of single-run words.
 
-    Sums over positive compositions of the total y-count and over all
-    orderings of the factors; factorial growth caps n at MAX_NFOLD.
+    The display sums over positive compositions lc of the total y-count,
+    over the n! orderings of the factors and over the weak compositions
+    alpha of the total x-count.  It is summed here in another order (see
+    FORMULA_NOTES.md): equal factors give equal summands, so each distinct
+    ordering counts once, weighted by the orderings it stands for; the
+    x-factors read alpha only through its prefix sums at n - 1 pinned
+    positions, so they are summed over the orderings in a table keyed by
+    those sums (_x_table); and each alpha is built once per lc, from the
+    segments between the pinned positions.  Factors that all differ still
+    have n! distinct orderings, so n stays capped at MAX_NFOLD.
     """
     pairs = [(a, r) for a, r in pairs]
     if not pairs:
@@ -469,35 +503,53 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
         return LinComb.from_exponents({(a,) + (0,) * (r - 1): 1})
     big_r = sum(r for _, r in pairs)
     big_a = sum(a for a, _ in pairs)
+    orderings, weight = distinct_orderings(pairs)
+    # The y-factors read only the orderings' y-runs, so the x-tables of the
+    # orderings with the same y-runs are summed once, outside the lc loop.
+    by_runs: dict[tuple[int, ...], dict] = {}
+    for perm in orderings:
+        merged = by_runs.setdefault(tuple(r for _, r in perm), {})
+        for key, xcoef in _x_table(tuple(a for a, _ in perm)):
+            merged[key] = merged.get(key, 0) + xcoef
+    runs = [(rs, prefix_sums(rs), list(merged.items())) for rs, merged in by_runs.items()]
     out: dict = {}
     for lc in composition_list(big_r, n):
         lpre = prefix_sums(lc)
-        width = lpre[n - 1] + 1
-        tail = (0,) * (big_r - width)
-        for perm in itertools.permutations(pairs):
-            ycoef = 1
+        table: dict = {}
+        for rs, rpre, xtable in runs:
+            # the display's binom(lc_j + ... + lc_n - r_{j+1} - ... - r_n - 1,
+            # r_j - 1), its sums taken from the front since both total R
+            ycoef = weight
             for j in range(2, n + 1):
-                top = sum(lc[j - 1 :]) - sum(p[1] for p in perm[j:]) - 1
-                ycoef *= binom(top, perm[j - 1][1] - 1)
+                ycoef *= binom(rpre[j] - lpre[j - 1] - 1, rs[j - 1] - 1)
                 if not ycoef:
                     break
             if not ycoef:
                 continue
-            apre = prefix_sums(p[0] for p in perm)
-            for alphas in weak_composition_list(big_a, width):
-                alpre = prefix_sums(alphas)
-                xcoef = 1
-                for j in range(1, n):
-                    xcoef *= binom(alpre[lpre[j - 1] + 1] - apre[j - 1], perm[j - 1][0])
-                    if not xcoef:
-                        break
-                if xcoef:
-                    _add(out, alphas + tail, ycoef * xcoef)
+            for key, xcoef in xtable:
+                table[key] = table.get(key, 0) + ycoef * xcoef
+        # alpha = (P_1,) + a weak composition of P_{j+1} - P_j into lc_j
+        # parts for j = 1 .. n-1, with P_n = A; then lc_n - 1 zeros
+        tail = (0,) * (lc[-1] - 1)
+        inner, last = lc[:-2], lc[-2]
+        for key, coeff in table.items():
+            heads = [key[:1]]
+            for parts, lo, hi in zip(inner, key, key[1:]):
+                segment = weak_composition_list(hi - lo, parts)
+                heads = [head + seg for head in heads for seg in segment]
+            for end in weak_composition_list(big_a - key[-1], last):
+                end += tail
+                for head in heads:
+                    exps = head + end
+                    out[exps] = out.get(exps, 0) + coeff
     return LinComb.from_exponents(out)
 
 
 def expand_nfold_depth1(exps: Iterable[int]) -> LinComb:
-    """n-fold product with all y-runs of length one."""
+    """n-fold product with all y-runs of length one.
+
+    Equal exponents give equal summands, so each distinct ordering is summed
+    once, weighted by the orderings it stands for."""
     exps = tuple(exps)
     if not exps:
         raise ValueError("need at least one factor")
@@ -506,13 +558,14 @@ def expand_nfold_depth1(exps: Iterable[int]) -> LinComb:
     for a in exps:
         _check_run(a, 1)
     n = len(exps)
+    orderings, weight = distinct_orderings(exps)
+    ordered = [(perm, prefix_sums(perm)) for perm in orderings]
     out: dict = {}
     for alphas in weak_composition_list(sum(exps), n):
         alpre = prefix_sums(alphas)
         coeff = 0
-        for perm in itertools.permutations(exps):
-            apre = prefix_sums(perm)
-            prod = 1
+        for perm, apre in ordered:
+            prod = weight
             for j in range(1, n):
                 prod *= binom(alpre[j] - apre[j - 1], perm[j - 1])
                 if not prod:

@@ -88,6 +88,13 @@ def test_nfold_suite():
     _report("nfold<=9", _suite_ok(report, 120), _suite_detail([report]))
 
 
+def test_nfold_suite_bound_10():
+    # 2,211 points past the registered bound of 9; about 1.5 s on a 2-core x86 box
+    report = verify.run_suite("nfold", 10)
+    ok = _suite_ok(report, 30) and report.checked == 2211
+    _report("nfold<=10", ok, _suite_detail([report]))
+
+
 def test_appendix_equivalences():
     start = time.perf_counter()
     reports = [verify.run_suite(name, 10) for name in ("appendixA", "appendixB")]

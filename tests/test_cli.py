@@ -82,6 +82,9 @@ DEEP_PAIRS = [
     pytest.param(
         ("shuffle", "y^300", "y^300", "--method", "recursive"), False, id="shuffle-general-refuses"
     ),
+    # 158 letters, but past cli.ORACLE_MAX_PRINTED printed letters by the
+    # oracle's output bound
+    pytest.param(("identity", "x^70 y x^3 y", "x y^80 x y"), False, id="identity-oracle-letters"),
 ]
 
 
@@ -124,6 +127,8 @@ WORK_LIMIT_PAIRS = [
     pytest.param(("x^1000000 y", "x^1000000 y", "--method", "general"),
                  "min(C(2000001, 1), C(2000002, 1000001)) words of 2000002 letters",
                  id="general-letters"),
+    pytest.param(("x^70 y x^3 y", "x y^80 x y", "--method", "recursive"),
+                 "min(C(158, 83), C(158, 75)) words of 158 letters", id="oracle-letters"),
 ]
 
 
@@ -179,6 +184,26 @@ def test_general_work_estimates():
     # also counts the one that starts with y
     for k in range(1, 40):
         assert _general_letters(k + 1, 2, 2) == (len(expand_general((k,), (1,))) + 1) * (k + 3)
+
+
+def test_oracle_output_estimate():
+    from mzvshuffle.cli import ORACLE_MAX_PRINTED, _oracle_letters
+    from mzvshuffle.shuffle import shuffle_recursive
+    from mzvshuffle.words import Word
+
+    words = [Word("".join(w)) for size in range(5) for w in itertools.product("xy", repeat=size)]
+    for u in words:
+        for v in words:
+            n, m = len(u), len(v)
+            printed = len(shuffle_recursive(u, v)) * (n + m)
+            assert printed <= _oracle_letters(n, m, u.y_count + v.y_count), (u, v)
+    # x^k . y gives the k + 1 words x^i y x^(k-i), each once: the bound is exact
+    for k in range(1, 40):
+        words_out = len(shuffle_recursive(Word("x" * k), Word("y")))
+        assert _oracle_letters(k, 1, 1) == words_out * (k + 1)
+    # the largest estimate of a benchmark product pair stays under the budget
+    assert _oracle_letters(13, 13, 13) == math.comb(26, 13) * 26 < ORACLE_MAX_PRINTED
+    assert _oracle_letters(75, 83, 83) > ORACLE_MAX_PRINTED
 
 
 def test_shuffle_general_rejects_non_h1(capsys):

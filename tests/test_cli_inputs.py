@@ -67,6 +67,8 @@ def exit_code(argv: list[str]) -> int:
 @example("y^4000", "y", "recursive", "json", True)
 @example("x^4000", "y", "recursive", "latex", True)
 @example("x^400 y", "x^400 y", "recursive", "plain", True)
+# more than cli.ORACLE_MAX_PRINTED letters by the oracle's output bound,
+@example("x^70 y x^3 y", "x y^80 x y", "recursive", "plain", True)
 # more than cli.PERMUTATION_MAX_INTERLEAVINGS interleavings,
 @example("x^40 y", "x^40 y", "permutation", "plain", True)
 # more than cli.GENERAL_MAX_LAYOUTS y-block layouts for the closed form,
@@ -83,10 +85,12 @@ def test_shuffle_exits_with_a_code(u, v, method, fmt, refused):
 
 
 @settings(max_examples=100, deadline=None)
-@given(word_texts(), word_texts(), st.integers(1, 64))
-@example("x^4000 y", "xy", 64)
-def test_identity_exits_with_a_code(u, v, terms):
-    assert exit_code(["identity", u, v, "--terms", str(terms)]) in (0, 1, 2, 3)
+@given(word_texts(), word_texts(), st.integers(1, 64), st.just(False))
+@example("x^4000 y", "xy", 64, True)
+@example("x^70 y x^3 y", "x y^80 x y", 64, True)
+def test_identity_exits_with_a_code(u, v, terms, refused):
+    code = exit_code(["identity", u, v, "--terms", str(terms)])
+    assert code == 3 if refused else code in (0, 1, 2, 3)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,6 +5,7 @@ from mzvshuffle.combinat import (
     binom,
     binomial_chains,
     compositions,
+    distinct_orderings,
     prefix_sums,
     weak_compositions,
 )
@@ -87,3 +88,11 @@ def test_binomial_chains_against_filtered_compositions():
                 got = binomial_chains(steps, total)
                 assert len(got) == len(want), (steps, total)
                 assert dict(got) == want, (steps, total)
+
+
+def test_distinct_orderings():
+    for items in [(1,), (2, 1), (1, 1, 1), (0, 1, 0, 2), ((2, 1), (1, 1), (2, 1)), "abcab"]:
+        orderings, weight = distinct_orderings(items)
+        assert orderings == sorted(set(itertools.permutations(items)))
+        assert weight * len(orderings) == math.factorial(len(items))
+    assert distinct_orderings([(2, 1)] * 5) == ([((2, 1),) * 5], 120)

@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import pytest
 
 from mzvshuffle.combinat import binom
 from mzvshuffle.lincomb import LinComb
 from mzvshuffle.restricted import (
     MAX_NFOLD,
+    _x_table,
     expand_nfold,
     expand_nfold_depth1,
     expand_res_1_1,
@@ -257,12 +261,56 @@ def test_nfold_three_oracle_grid():
         assert expand_nfold(pairs) == want
 
 
+# 4- and 5-fold products with repeated factors, whose orderings repeat
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(2, 1)] * 5,
+        [(1, 1)] * 4,
+        [(3, 1), (2, 1), (2, 1), (1, 2), (1, 1)],
+        [(0, 1), (1, 1), (0, 2), (2, 1)],
+    ],
+    ids=["2-1^5", "1-1^4", "five-fold", "four-fold"],
+)
+def test_nfold_repeated_factors_match_oracle(pairs):
+    assert expand_nfold(pairs) == shuffle_nfold([run_word(a, r) for a, r in pairs])
+
+
+def test_nfold_ignores_the_order_of_its_factors():
+    pairs = [(1, 2), (0, 1), (1, 2), (2, 1)]
+    want = expand_nfold(pairs)
+    assert want == shuffle_nfold([run_word(a, r) for a, r in pairs])
+    for perm in itertools.permutations(pairs):
+        assert expand_nfold(perm) == want, perm
+
+
+def test_x_table_is_the_nonzero_x_factors():
+    for a_seq in [(0, 0), (2, 1), (1, 0, 2), (0, 2, 0, 1), (2, 2, 2)]:
+        total, n = sum(a_seq), len(a_seq)
+        want = {}
+        for key in itertools.combinations_with_replacement(range(total + 1), n - 1):
+            coeff = math.prod(
+                binom(key[j] - sum(a_seq[:j]), a_seq[j]) for j in range(n - 1)
+            )
+            if coeff:
+                want[key] = coeff
+        got = _x_table(a_seq)
+        assert dict(got) == want and len(got) == len(want), a_seq
+
+
 def test_nfold_depth1():
     assert expand_nfold_depth1([1, 1]) == LinComb({Word("xyxy"): 2, Word("xxyy"): 4})
     assert expand_nfold_depth1([4]) == LinComb.term(Word("xxxxy"))
     assert expand_nfold_depth1([1, 1, 1]) == shuffle_nfold([Word("xy")] * 3)
     for exps in [(0, 2), (1, 0, 2), (2, 1, 1)]:
         assert expand_nfold_depth1(exps) == expand_nfold([(a, 1) for a in exps])
+
+
+@pytest.mark.parametrize("exps", [(2, 2, 2, 2), (1, 1, 0, 0), (3, 1, 1), (0, 0, 0)])
+def test_nfold_depth1_repeated_exponents(exps):
+    want = shuffle_nfold([run_word(a, 1) for a in exps])
+    assert expand_nfold_depth1(exps) == want
+    assert expand_nfold_depth1(reversed(exps)) == want
 
 
 def test_nfold_cap_and_validation():
