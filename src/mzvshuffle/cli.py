@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse/usage error,
 3 domain error (inadmissible words, method not applicable, a pair past one
-of a shuffle method's limits below, ...).
+of a shuffle method's limits below, a product that runs out of memory, ...).
 """
 
 from __future__ import annotations
@@ -189,14 +189,37 @@ def _cmd_shuffle(args) -> int:
             refusal += " (try --method general)"
         print(f"error: {refusal}", file=sys.stderr)
         return EXIT_DOMAIN
-    if method == "general":
-        result = expand_general(to_exponent_form(u), to_exponent_form(v))
-    elif method == "permutation":
-        result = shuffle_permutation(u, v)
+    try:
+        print(_product(u, v, method).render(args.format))
+    except MemoryError:
+        pass  # reported below, once the traceback no longer holds the product
     else:
-        result = shuffle_recursive(u, v)
-    print(result.render(args.format))
-    return EXIT_OK
+        return EXIT_OK
+    print(f"error: {_out_of_memory(u, v)}", file=sys.stderr)
+    return EXIT_DOMAIN
+
+
+def _product(u: Word, v: Word, method: str):
+    """u shuffled with v by `method`, a method that _refusal accepts for them."""
+    if method == "general":
+        return expand_general(to_exponent_form(u), to_exponent_form(v))
+    if method == "permutation":
+        return shuffle_permutation(u, v)
+    return shuffle_recursive(u, v)
+
+
+def _out_of_memory(u: Word, v: Word) -> str:
+    """Why the product of u and v failed when it ran out of memory, naming
+    the process's address-space limit (RLIMIT_AS)."""
+    try:
+        import resource  # POSIX only
+    except ImportError:
+        limit = "unknown"
+    else:
+        cap = resource.getrlimit(resource.RLIMIT_AS)[0]
+        limit = "none" if cap == resource.RLIM_INFINITY else f"{cap / 2**20:.0f} MiB"
+    return (f"the product of {len(u)} + {len(v)} letters ran out of memory "
+            f"(address-space limit: {limit})")
 
 
 def _cmd_verify(args) -> int:
@@ -257,6 +280,11 @@ def _cmd_identity(args) -> int:
         residual, adaptive = numeric.identity_residual_with_bound(u, v, terms)
     except (NotAdmissibleError, NotInH1Error, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:
+        residual = None  # reported below, once the traceback no longer holds the product
+    if residual is None:
+        print(f"error: {_out_of_memory(u, v)}", file=sys.stderr)
         return EXIT_DOMAIN
     bound = args.tol if args.tol is not None else adaptive
     ok = residual <= bound

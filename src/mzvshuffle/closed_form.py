@@ -23,7 +23,14 @@ layout's steps at one exponent tuple.
 
 The concrete low-arity expansions (Euler, 1 x s, and the five small cases)
 are independent transcriptions of their published displays and are tested
-against the brute-force oracles.
+against the brute-force oracles; none of them reads _layouts.  expand_1_s
+and the 1x3, 2x2, 2x3 and 3x3 displays add each printed term as one
+binomial_chains walk (_add_chains): its Kronecker deltas pin a tail, and a
+lower index that subtracts later alphas becomes a prefix step by
+binom(n, k) = binom(n, n - k) (docs/FORMULA_NOTES.md), so they too do work
+in proportion to their nonzero terms.  Euler's display and the 1x2 display
+are still evaluated at every weak composition of the x-degree: on the small
+totals they run at, that costs less than the walks' fixed cost.
 """
 
 from __future__ import annotations
@@ -197,10 +204,19 @@ def expand_general(a: Iterable[int], b: Iterable[int]) -> LinComb:
         for lay in _layouts(len(first), len(second)):
             tail = tuple(table[k] for k in lay.tail)
             steps = tuple((table[k], prefix) for k, prefix in lay.steps)
-            for head, coeff in binomial_chains(steps, total - sum(tail)):
-                key = head + tail
-                out[key] = out.get(key, 0) + coeff
+            _add_chains(out, steps, total, tail)
     return LinComb.from_exponents(out)
+
+
+def _add_chains(
+    out: dict, steps: tuple[tuple[int, bool], ...], total: int, tail: tuple[int, ...] = ()
+) -> None:
+    """Add one display term to out: the chain of binomials `steps` over the
+    head, as combinat.binomial_chains reads them, with the trailing alphas
+    pinned to `tail` by Kronecker deltas and x-degree `total` in all."""
+    for head, coeff in binomial_chains(steps, total - sum(tail)):
+        key = head + tail
+        out[key] = out.get(key, 0) + coeff
 
 
 def expand_euler(a: int, b: int) -> LinComb:
@@ -218,41 +234,33 @@ def expand_1_s(a: int, b: Iterable[int]) -> LinComb:
     b = tuple(b)
     _check_exponents((a,), "a")
     _check_exponents(b, "b")
-    s = len(b)
-    out = {}
-    for al in weak_composition_list(a + sum(b), s + 1):
-        coeff = _coeff_1_s(al, a, b)
-        out[al] = coeff
+    s, t = len(b), a + sum(b)
+    plain = tuple((bi, False) for bi in b)  # binom(alpha_i, b_i)
+    out: dict[tuple[int, ...], int] = {}
+    # the lone x^a block lands in front: alpha_j pinned to b_{j-1} from j = 3 on
+    _add_chains(out, ((a, False),), t, b[1:])
+    _add_chains(out, plain, t)
+    # bridge terms: the a-block splits position k+1, pinning the tail;
+    # binom(alpha_{k+1}, b_{k+1} - alpha_{k+2}) is a prefix step by symmetry
+    for k in range(1, s):
+        tail = b[k + 1 :]
+        _add_chains(out, (*plain[:k], (t - sum(tail) - b[k], True)), t, tail)
     return LinComb.from_exponents(out)
 
 
-def _coeff_1_s(al: tuple[int, ...], a: int, b: tuple[int, ...]) -> int:
-    s = len(b)
-    coeff = 0
-    # the lone x^a block lands in front: alpha_j pinned to b_{j-1} from j = 3 on
-    if all(al[j - 1] == b[j - 2] for j in range(3, s + 2)):
-        coeff += binom(al[0], a)
-    prod = 1
-    for i in range(1, s + 1):
-        prod *= binom(al[i - 1], b[i - 1])
-        if not prod:
-            break
-    coeff += prod
-    # bridge terms: the a-block splits position k+1, pinning the tail
-    for k in range(1, s):
-        if any(al[j - 1] != b[j - 2] for j in range(k + 3, s + 2)):
-            continue
-        prod = 1
-        for i in range(1, k + 1):
-            prod *= binom(al[i - 1], b[i - 1])
-            if not prod:
-                break
-        if prod:
-            coeff += prod * binom(al[k], b[k] - al[k + 1])
-    return coeff
+# The small displays from 1x3 on, one _add_chains walk per printed term (a
+# sum of two binomials is two walks, a Kronecker delta a pinned tail entry,
+# as in expand_1_s).  (c, False) is binom(alpha_i, c) and
+# (c, True) is binom(alpha_i, c - alpha_1 - ... - alpha_{i-1}); a lower
+# index that subtracts later alphas, binom(alpha_k, c - alpha_{k+1} - ...
+# - alpha_m) with alpha_m the last part the walk sets, is binom(alpha_k,
+# (R - c) - alpha_1 - ... - alpha_{k-1}) for R the x-degree left after the
+# pinned tail (docs/FORMULA_NOTES.md).
 
 
 def expand_1_2(a: int, b1: int, b2: int) -> LinComb:
+    # Enumerated, not walked: on its small totals three walks cost more than
+    # evaluating the display at each weak composition (docs/FORMULA_NOTES.md).
     _check_exponents((a, b1, b2), "expand_1_2")
     out = {}
     for al in weak_composition_list(a + b1 + b2, 3):
@@ -267,34 +275,26 @@ def expand_1_2(a: int, b1: int, b2: int) -> LinComb:
 
 def expand_1_3(a: int, b1: int, b2: int, b3: int) -> LinComb:
     _check_exponents((a, b1, b2, b3), "expand_1_3")
-    out = {}
-    for al in weak_composition_list(a + b1 + b2 + b3, 4):
-        coeff = (
-            (binom(al[0], a) if al[2] == b2 and al[3] == b3 else 0)
-            + (binom(al[0], b1) * binom(al[1], b2 - al[2]) if al[3] == b3 else 0)
-            + binom(al[0], b1)
-            * binom(al[1], b2)
-            * (binom(al[2], b3) + binom(al[2], b3 - al[3]))
-        )
-        out[al] = coeff
+    t = a + b1 + b2 + b3
+    out: dict[tuple[int, ...], int] = {}
+    _add_chains(out, ((a, False),), t, (b2, b3))
+    _add_chains(out, ((b1, False), (t - b3 - b2, True)), t, (b3,))
+    _add_chains(out, ((b1, False), (b2, False), (b3, False)), t)
+    _add_chains(out, ((b1, False), (b2, False), (t - b3, True)), t)
     return LinComb.from_exponents(out)
 
 
 def expand_2_2(a1: int, a2: int, b1: int, b2: int) -> LinComb:
     _check_exponents((a1, a2, b1, b2), "expand_2_2")
-    out = {}
-    for al in weak_composition_list(a1 + a2 + b1 + b2, 4):
-        coeff = (
-            (binom(al[0], a1) * binom(al[1], a2) if al[3] == b2 else 0)
-            + (binom(al[0], b1) * binom(al[1], b2) if al[3] == a2 else 0)
-            + binom(al[0], a1)
-            * binom(al[1], a1 + b1 - al[0])
-            * (binom(al[2], b2) + binom(al[2], b2 - al[3]))
-            + binom(al[0], b1)
-            * binom(al[1], a1 + b1 - al[0])
-            * (binom(al[2], a2) + binom(al[2], a2 - al[3]))
-        )
-        out[al] = coeff
+    t = a1 + a2 + b1 + b2
+    mixed = (a1 + b1, True)  # binom(alpha_2, a1 + b1 - alpha_1)
+    out: dict[tuple[int, ...], int] = {}
+    _add_chains(out, ((a1, False), (a2, False)), t, (b2,))
+    _add_chains(out, ((b1, False), (b2, False)), t, (a2,))
+    _add_chains(out, ((a1, False), mixed, (b2, False)), t)
+    _add_chains(out, ((a1, False), mixed, (t - b2, True)), t)
+    _add_chains(out, ((b1, False), mixed, (a2, False)), t)
+    _add_chains(out, ((b1, False), mixed, (t - a2, True)), t)
     return LinComb.from_exponents(out)
 
 
@@ -303,71 +303,45 @@ def expand_2_3(a1: int, a2: int, b1: int, b2: int, b3: int) -> LinComb:
     # symbol a4 exists at these arities; alpha_4 is the oracle-validated
     # reading (see FORMULA_NOTES.md).
     _check_exponents((a1, a2, b1, b2, b3), "expand_2_3")
-    out = {}
-    for al in weak_composition_list(a1 + a2 + b1 + b2 + b3, 5):
-        mixed = binom(al[1], a1 + b1 - al[0])
-        coeff = (
-            (binom(al[0], a1) * binom(al[1], a2) if al[3] == b2 and al[4] == b3 else 0)
-            + (binom(al[0], a1) * mixed * binom(al[2], b2 - al[3]) if al[4] == b3 else 0)
-            + binom(al[0], a1)
-            * mixed
-            * binom(al[2], b2)
-            * (binom(al[3], b3) + binom(al[3], b3 - al[4]))
-            + (binom(al[0], b1) * binom(al[1], b2) * binom(al[2], b3) if al[4] == a2 else 0)
-            + (binom(al[0], b1) * mixed * binom(al[2], a2) if al[4] == b3 else 0)
-            + binom(al[0], b1)
-            * binom(al[1], b2)
-            * binom(al[2], a2 + b3 - al[3] - al[4])
-            * (binom(al[3], a2) + binom(al[3], a2 - al[4]))
-            + binom(al[0], b1)
-            * mixed
-            * binom(al[2], a2 + b3 - al[3] - al[4])
-            * (binom(al[3], b3) + binom(al[3], b3 - al[4]))
-        )
-        out[al] = coeff
+    t = a1 + a2 + b1 + b2 + b3
+    mixed = (a1 + b1, True)  # binom(alpha_2, a1 + b1 - alpha_1)
+    wide = (t - a2 - b3, True)  # binom(alpha_3, a2 + b3 - alpha_4 - alpha_5)
+    out: dict[tuple[int, ...], int] = {}
+    _add_chains(out, ((a1, False), (a2, False)), t, (b2, b3))
+    _add_chains(out, ((a1, False), mixed, (t - b3 - b2, True)), t, (b3,))
+    _add_chains(out, ((a1, False), mixed, (b2, False), (b3, False)), t)
+    _add_chains(out, ((a1, False), mixed, (b2, False), (t - b3, True)), t)
+    _add_chains(out, ((b1, False), (b2, False), (b3, False)), t, (a2,))
+    _add_chains(out, ((b1, False), mixed, (a2, False)), t, (b3,))
+    _add_chains(out, ((b1, False), (b2, False), wide, (a2, False)), t)
+    _add_chains(out, ((b1, False), (b2, False), wide, (t - a2, True)), t)
+    _add_chains(out, ((b1, False), mixed, wide, (b3, False)), t)
+    _add_chains(out, ((b1, False), mixed, wide, (t - b3, True)), t)
     return LinComb.from_exponents(out)
 
 
-def _c33(al, a1, a2, a3, b1, b2, b3) -> int:
-    mixed1 = binom(al[1], a1 + b1 - al[0])
-    mixed2 = binom(al[2], a1 + a2 + b1 - al[0] - al[1])
-    coeff = 0
-    if al[4] == b2 and al[5] == b3:
-        coeff += binom(al[0], a1) * binom(al[1], a2) * binom(al[2], a3)
-    if al[5] == a3:
-        coeff += binom(al[0], a1) * mixed1 * binom(al[2], b2) * binom(al[3], b3)
-    if al[5] == b3:
-        coeff += binom(al[0], a1) * mixed1 * mixed2 * binom(al[3], a3)
-        coeff += binom(al[0], a1) * binom(al[1], a2) * mixed2 * binom(al[3], b2 - al[4])
-    coeff += (
-        binom(al[0], a1)
-        * binom(al[1], a2)
-        * mixed2
-        * binom(al[3], b2)
-        * (binom(al[4], b3) + binom(al[4], b3 - al[5]))
-    )
-    coeff += (
-        binom(al[0], a1)
-        * mixed1
-        * binom(al[2], b2)
-        * binom(al[3], a3 + b3 - al[4] - al[5])
-        * (binom(al[4], a3) + binom(al[4], a3 - al[5]))
-    )
-    coeff += (
-        binom(al[0], a1)
-        * mixed1
-        * mixed2
-        * binom(al[3], a3 + b3 - al[4] - al[5])
-        * (binom(al[4], b3) + binom(al[4], b3 - al[5]))
-    )
-    return coeff
+def _c33(out: dict, t: int, a1, a2, a3, b1, b2, b3) -> None:
+    """The half of the 3x3 display whose first y-block comes from a."""
+    mixed1 = (a1 + b1, True)  # binom(alpha_2, a1 + b1 - alpha_1)
+    mixed2 = (a1 + a2 + b1, True)  # binom(alpha_3, a1 + a2 + b1 - alpha_1 - alpha_2)
+    wide = (t - a3 - b3, True)  # binom(alpha_4, a3 + b3 - alpha_5 - alpha_6)
+    lead = ((a1, False), (a2, False))
+    _add_chains(out, (*lead, (a3, False)), t, (b2, b3))
+    _add_chains(out, ((a1, False), mixed1, (b2, False), (b3, False)), t, (a3,))
+    _add_chains(out, ((a1, False), mixed1, mixed2, (a3, False)), t, (b3,))
+    _add_chains(out, (*lead, mixed2, (t - b3 - b2, True)), t, (b3,))
+    _add_chains(out, (*lead, mixed2, (b2, False), (b3, False)), t)
+    _add_chains(out, (*lead, mixed2, (b2, False), (t - b3, True)), t)
+    _add_chains(out, ((a1, False), mixed1, (b2, False), wide, (a3, False)), t)
+    _add_chains(out, ((a1, False), mixed1, (b2, False), wide, (t - a3, True)), t)
+    _add_chains(out, ((a1, False), mixed1, mixed2, wide, (b3, False)), t)
+    _add_chains(out, ((a1, False), mixed1, mixed2, wide, (t - b3, True)), t)
 
 
 def expand_3_3(a1: int, a2: int, a3: int, b1: int, b2: int, b3: int) -> LinComb:
     _check_exponents((a1, a2, a3, b1, b2, b3), "expand_3_3")
-    out = {}
-    for al in weak_composition_list(a1 + a2 + a3 + b1 + b2 + b3, 6):
-        coeff = _c33(al, a1, a2, a3, b1, b2, b3) + _c33(al, b1, b2, b3, a1, a2, a3)
-        out[al] = coeff
+    t = a1 + a2 + a3 + b1 + b2 + b3
+    out: dict[tuple[int, ...], int] = {}
+    _c33(out, t, a1, a2, a3, b1, b2, b3)
+    _c33(out, t, b1, b2, b3, a1, a2, a3)
     return LinComb.from_exponents(out)
-

@@ -67,7 +67,7 @@ def composition_list(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 def binomial_chains(
     steps: tuple[tuple[int, bool], ...], total: int
-) -> tuple[tuple[tuple[int, ...], int], ...]:
+) -> list[tuple[tuple[int, ...], int]]:
     """Weak compositions w of `total` into len(steps) + 1 parts whose chain
     binom(w_0, beta_0) * ... * binom(w_{n-1}, beta_{n-1}) is nonzero, each
     paired with that product.  The last part takes what is left.
@@ -88,17 +88,20 @@ def binomial_chains(
             # beta_i >= 0 needs the prefix sum at most c; w_i >= beta_i then
             # lifts the next prefix sum to at least c
             if c > cap[i + 1]:
-                return ()
+                return []
             cap[i] = min(c, cap[i + 1])
         else:
             if c < 0:
-                return ()
+                return []
             cap[i] = cap[i + 1] - c
     if cap[0] < 0:
-        return ()
+        return []
+    if not n:
+        return [((total,), 1)]
     comb = math.comb
     states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
-    for i, (c, prefix) in enumerate(steps):
+    for i in range(n - 1):
+        c, prefix = steps[i]
         top = cap[i + 1]
         nxt: list[tuple[tuple[int, ...], int, int]] = []
         add = nxt.append
@@ -107,7 +110,16 @@ def binomial_chains(
             for x in range(beta, top - used + 1):
                 add((w + (x,), used + x, coeff * comb(x, beta) if beta else coeff))
         states = nxt
-    return tuple([(w + (total - used,), coeff) for w, used, coeff in states])
+    # the last step sets w_{n-1} and, with it, the closing part
+    c, prefix = steps[-1]
+    out: list[tuple[tuple[int, ...], int]] = []
+    add = out.append
+    for w, used, coeff in states:
+        beta = c - used if prefix else c
+        left = total - used
+        for x in range(beta, left + 1):
+            add((w + (x, left - x), coeff * comb(x, beta) if beta else coeff))
+    return out
 
 
 def distinct_orderings(items) -> tuple[list[tuple], int]:

@@ -75,6 +75,14 @@ def test_specialization_suite():
     _report("specializations<=9", _suite_ok(report, 120), _suite_detail([report]))
 
 
+def test_specialization_suite_bound_11(monkeypatch):
+    # 3,830 points past the weight cap of 10; about 1 s on a 2-core x86 box
+    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "11")
+    report = verify.run_suite("specializations", 11)
+    ok = _suite_ok(report, 30) and report.checked == 3830
+    _report("specializations<=11", ok, _suite_detail([report]))
+
+
 def test_restricted_suite():
     start = time.perf_counter()
     reports = [verify.run_suite(name, 10) for name in ("res11", "res12", "res22")]

@@ -106,9 +106,14 @@ LONG_WORD = "x^1000000" * 10_000
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _address_space_limit():
-    # a parser that builds the word anyway fails at 1 GiB, not at 10 GB
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+def _run_limited(argv, limit):
+    """`python -m mzvshuffle *argv` under an address-space limit of `limit` bytes."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "mzvshuffle", *argv], env=env, capture_output=True, text=True,
+        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
 
 
 @pytest.mark.parametrize(
@@ -125,11 +130,23 @@ def _address_space_limit():
          "identity-letters", "zeta-letters"],
 )
 def test_parse_refusals_exit_2(argv, message):
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "mzvshuffle", *argv], env=env, capture_output=True, text=True,
-        timeout=60, preexec_fn=_address_space_limit,
-    )
+    # a parser that builds the word anyway fails at 1 GiB, not at 10 GB
+    done = _run_limited(argv, 2**30)
     assert (done.returncode, done.stdout) == (2, "")
     assert message in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shuffle", "x^12", "y^13", "--method", "recursive"],
+        ["identity", "x y^12", "x^12 y"],
+    ],
+    ids=["shuffle", "identity"],
+)
+def test_out_of_memory_exits_3(argv):
+    # each product passes the oracle's output budget but needs several
+    # hundred MiB, so it runs out of memory about a second into the run
+    done = _run_limited(argv, 128 * 2**20)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert "ran out of memory (address-space limit: 128 MiB)" in done.stderr

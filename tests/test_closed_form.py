@@ -243,6 +243,31 @@ def test_expand_small_matches_general(fn, r, s):
             assert fn(*exps) == expand_general(exps[:r], exps[r:])
 
 
+# The walked displays past the sweeps' bounds (total word length 9 or 10),
+# where the oracle is too slow: against expand_general, with every
+# coefficient nonzero and the coefficients summing to C(n+m, n) for words of
+# n and m letters.
+BEYOND_SWEEP = [
+    (expand_1_s, (40, (30, 0, 25)), (40,), (30, 0, 25)),  # 23,066 terms
+    (expand_1_s, (9, (2, 0, 3, 0, 1)), (9,), (2, 0, 3, 0, 1)),
+    (expand_1_3, (12, 9, 0, 11), (12,), (9, 0, 11)),
+    (expand_2_2, (10, 7, 9, 8), (10, 7), (9, 8)),
+    (expand_2_3, (6, 2, 5, 0, 4), (6, 2), (5, 0, 4)),
+    (expand_3_3, (3, 6, 1, 5, 0, 4), (3, 6, 1), (5, 0, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, ea, eb", BEYOND_SWEEP, ids=[f"{c[0].__name__}{c[1]}" for c in BEYOND_SWEEP]
+)
+def test_walked_displays_beyond_the_sweeps(fn, args, ea, eb):
+    got = fn(*args)
+    assert got == expand_general(ea, eb)
+    assert all(coeff for _, coeff in got.items())
+    n, m = sum(ea) + len(ea), sum(eb) + len(eb)
+    assert got.coefficient_sum() == binom(n + m, n)
+
+
 def test_expand_small_c22_self_product():
     assert expand_2_2(1, 0, 1, 0) == oracle((1, 0), (1, 0))
 
