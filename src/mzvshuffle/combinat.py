@@ -61,6 +61,28 @@ def weak_composition_list_any(max_total: int, parts: int) -> Iterator[tuple[int,
 
 
 @lru_cache(maxsize=None)
+def weak_compositions_with_last(
+    total: int, parts: int
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each weak composition of `total` into `parts` parts, with the 1-based
+    index of its last nonzero part (0 when every part is zero).
+
+    A composition whose last nonzero part is part `last` is, with its
+    trailing zeros, the zero-padded form of a window of k parts for every
+    k >= last; so a sum over windows of every size, each zero-padded to this
+    width, meets it once for each such k (docs/FORMULA_NOTES.md, "Zero-padded
+    tails summed once").  Callers append any further zeros themselves, so
+    each composition is stored once whatever the padding."""
+    out = []
+    for comp in weak_composition_list(total, parts):
+        last = parts
+        while last and not comp[last - 1]:
+            last -= 1
+        out.append((comp, last))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def composition_list(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(compositions(total, parts))
 
@@ -143,6 +165,14 @@ def distinct_orderings(items) -> tuple[list[tuple], int]:
         seq[i], seq[j] = seq[j], seq[i]
         seq[i + 1 :] = reversed(seq[i + 1 :])
     return out, math.factorial(n) // len(out)
+
+
+def suffix_sums(seq) -> list[int]:
+    """[..., s_{n-1} + s_n, s_n, 0]: suffix_sums(seq)[i] is the sum of the
+    items from index i on."""
+    out = list(itertools.accumulate(reversed(seq), initial=0))
+    out.reverse()
+    return out
 
 
 def prefix_sums(seq) -> tuple[int, ...]:

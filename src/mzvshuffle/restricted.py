@@ -3,29 +3,33 @@
 Inputs are run pairs (a, r) meaning x^a y^r.  The two-factor expansions are
 organized case by case, one function per y-interleaving pattern, so each
 case can be checked on its own against an oracle restricted to that pattern.
+
+Every binomial and multiplicity of the displays is kept as transcribed, but
+their sums over the splits (l, K - l) of a y-run, a window of l parts
+followed by zeros up to a fixed width, are taken in another order: each
+composition of the widest window is added once, weighted by the suffix sum
+of the multiplicities of the splits it fits (docs/FORMULA_NOTES.md,
+"Zero-padded tails summed once").  `expand_nfold` sums its last two
+y-compositions the same way.
 """
 
 from __future__ import annotations
 
-import math
+from math import comb  # for binomials whose 0 <= k <= n always holds
 from typing import Iterable
 
 from .combinat import (
     binom,
-    binomial_chains,
     composition_list,
     distinct_orderings,
     prefix_sums,
+    suffix_sums,
     weak_composition_list,
+    weak_compositions_with_last,
 )
 from .lincomb import LinComb
 
 MAX_NFOLD = 8
-
-
-def _add(out: dict, exps: tuple[int, ...], coeff: int) -> None:
-    if coeff:
-        out[exps] = out.get(exps, 0) + coeff
 
 
 def _inner_shuffles(extra_ys: int, gap: int) -> int:
@@ -41,14 +45,6 @@ def _inner_shuffles(extra_ys: int, gap: int) -> int:
     if gap >= 0:
         return binom(extra_ys + gap, extra_ys)
     return 1 if extra_ys == 0 else 0
-
-
-def _chains(width: int, total: int, pinned: dict[int, tuple[int, bool]]):
-    """binomial_chains for a window of `width` parts summing to `total`:
-    binom(w_i, beta_i) at the positions `pinned` names, as (c, prefix), and
-    no condition on the other parts.  Every pinned position lies before the
-    last part."""
-    return binomial_chains(tuple(pinned.get(i, (0, False)) for i in range(width - 1)), total)
 
 
 def _check_run(a: int, r: int) -> None:
@@ -74,6 +70,65 @@ def _sum_cases(cases: Iterable, *calls: tuple[int, ...]) -> LinComb:
 
 
 # ---------------------------------------------------------------------------
+# The displays below sum over the splits (l, K - l) of a y-run: a window of l
+# parts, then K - l - 1 zeros.  A window of l parts followed by zeros up to a
+# fixed width is a composition of that width whose last nonzero part is at
+# most l, so each case sums such a loop at once: it adds each composition of
+# the widest window once, weighted by the sum of the multiplicities of the
+# splits it fits (docs/FORMULA_NOTES.md, "Zero-padded tails summed once").
+# A window whose parts carry binomials at pinned positions is cut there into
+# segments, each with its first part pinned, and the loops run over the
+# segments' sums; where the one further pin's binomial has a fixed lower
+# index (2x2 cases i and viii), the window is filtered by it instead, which
+# is faster on these small windows.
+
+
+def _lead(total: int, low: int, width: int, pad: int, suffix: list[int]) -> list:
+    """The weak compositions of `total` into `width` parts whose first part
+    carries binom(part, low), each followed by `pad` zeros and weighted
+    suffix[last] for its last nonzero part `last`, as (exps, coeff).
+
+    With suffix = suffix_sums(m) this is the sum over k of m[k] times the
+    windows of k parts, zero-padded to `width`; low = 0 gives plain windows,
+    and a suffix of ones a window of fixed width."""
+    zeros = (0,) * pad
+    return [
+        (w + zeros, comb(w[0], low) * suffix[last])
+        for w, last in weak_compositions_with_last(total, width)
+        if w[0] >= low and suffix[last]
+    ]
+
+
+def _pinned(windows: list, at: int, low: int) -> list:
+    """The windows, as (exps, coeff), whose part `at` carries binom(part, low)."""
+    return [(w, c * comb(w[at], low)) for w, c in windows if w[at] >= low]
+
+
+def _run_tails(total: int, runs: int, s: int) -> list:
+    """sum_{j=0..runs} binom(runs - j + s - 1, runs - j) x^{w_0} y ... x^{w_j}
+    y^{runs - j + s} over the weak compositions w of `total` into j + 1
+    parts: the splits of a run of `runs` y's before a run of s y's."""
+    suffix = suffix_sums([0] + [comb(runs - j + s - 1, s - 1) for j in range(runs + 1)])
+    return _lead(total, 0, runs + 1, s - 1, suffix)
+
+
+def _join(heads: list, tails: list) -> list:
+    return [(h + t, c * d) for h, c in heads for t, d in tails]
+
+
+_EMPTY = [((), 1)]
+
+
+def _emit(out: dict, heads: list, tails: list = _EMPTY) -> None:
+    """Add each h + t with coefficient c * d, over the (h, c) of `heads` and
+    the (t, d) of `tails`; with no tails, the heads alone."""
+    for h, c in heads:
+        for t, d in tails:
+            exps = h + t
+            out[exps] = out.get(exps, 0) + c * d
+
+
+# ---------------------------------------------------------------------------
 # x^a y^r . x^b y^s
 
 
@@ -81,85 +136,61 @@ def expand_res_1_1(a: int, r: int, b: int, s: int) -> LinComb:
     return _sum_cases([_res_1_1_half], (a, r, b, s), (b, s, a, r))
 
 
-def _res_1_1_half(a: int, r: int, b: int, s: int, out: dict) -> None:
-    # l leading y's come from the r-run; everything after position l+1 is empty
-    k = r + s
-    for l in range(1, r + 1):
-        mult = binom(k - l - 1, r - l)
-        if not mult:
-            continue
-        tail = (0,) * (k - l - 1)
-        for window in weak_composition_list(a + b, l + 1):
-            coeff = mult * binom(window[0], a)
-            if coeff:
-                _add(out, window + tail, coeff)
+def _res_1_1_half(a, r, b, s, out):
+    # l leading y's come from the r-run: a window of l + 1 parts, then
+    # r + s - l - 1 zeros, the l loop summed at once
+    suffix = suffix_sums([0, 0] + [comb(r + s - l - 1, r - l) for l in range(1, r + 1)])
+    _emit(out, _lead(a + b, a, r + 1, s - 1, suffix))
 
 
 # ---------------------------------------------------------------------------
 # x^a y^r . x^{b1} y^{s1} x^{b2} y^{s2}
 
 
+def _split_heads(total: int, low: int, s1: int, t: int) -> list:
+    """With t = l1 + l2: a window of l1 + 1 parts of `total`, its first part
+    carrying binom(part, low), then l2 + s1 - 1 zeros, weighted
+    _inner_shuffles(l2, s1 - 2), the l1 loop summed at once (1x2 case i,
+    2x2 cases viii-x)."""
+    suffix = suffix_sums([0, 0] + [_inner_shuffles(t - l1, s1 - 2) for l1 in range(1, t + 1)])
+    return _lead(total, low, t + 1, s1 - 1, suffix)
+
+
 def _res12_case_i(a, r, b1, s1, b2, s2, out):
-    for r1 in range(1, r + 1):
-        for r2 in range(0, r - r1 + 1):
-            m1 = _inner_shuffles(r2, s1 - 2)
-            if not m1:
-                continue
-            for r3 in range(0, r - r1 - r2 + 1):
-                r4 = r - r1 - r2 - r3
-                mult = m1 * binom(r4 + s2 - 1, r4)
-                if not mult:
-                    continue
-                z1 = (0,) * (r2 + s1 - 1)
-                z2 = (0,) * (r4 + s2 - 1)
-                for w1 in weak_composition_list(a + b1, r1 + 1):
-                    coeff = mult * binom(w1[0], a)
-                    if not coeff:
-                        continue
-                    for w2 in weak_composition_list(b2, r3 + 1):
-                        _add(out, w1 + z1 + w2 + z2, coeff)
+    # t = r1 + r2: the r1 loop (window r1 + 1, then r2 + s1 - 1 zeros) and the
+    # r3 loop (window r3 + 1, then r4 + s2 - 1 zeros) each summed at once
+    for t in range(1, r + 1):
+        _emit(out, _split_heads(a + b1, a, s1, t), _run_tails(b2, r - t, s2))
 
 
 def _res12_case_ii(a, r, b1, s1, b2, s2, out):
-    for l in range(1, s1):
-        for r1 in range(1, r + 1):
-            m1 = binom(r1 + s1 - l - 2, r1 - 1)
-            if not m1:
-                continue
-            for r2 in range(0, r - r1 + 1):
-                r3 = r - r1 - r2
-                mult = m1 * binom(r3 + s2 - 1, r3)
-                if not mult:
-                    continue
-                z1 = (0,) * (r1 + s1 - l - 1)
-                z2 = (0,) * (r3 + s2 - 1)
-                for w1 in weak_composition_list(a + b1, l + 1):
-                    coeff = mult * binom(w1[0], b1)
-                    if not coeff:
-                        continue
-                    for w2 in weak_composition_list(b2, r2 + 1):
-                        _add(out, w1 + z1 + w2 + z2, coeff)
+    # the l loop (window l + 1, then r1 + s1 - l - 1 zeros) and the r2 loop
+    # (window r2 + 1, then r3 + s2 - 1 zeros) each summed at once
+    if s1 < 2:
+        return
+    for r1 in range(1, r + 1):
+        suffix = suffix_sums([0, 0] + [comb(r1 + s1 - l - 2, r1 - 1) for l in range(1, s1)])
+        _emit(out, _lead(a + b1, b1, s1, r1, suffix), _run_tails(b2, r - r1, s2))
 
 
 def _res12_case_iii(a, r, b1, s1, b2, s2, out):
-    for r1 in range(1, r + 1):
-        r2 = r - r1
-        mult = binom(r2 + s2 - 1, r2)
-        if not mult:
-            continue
-        tail = (0,) * (r2 + s2 - 1)
-        for w, coeff in _chains(r1 + s1 + 1, a + b1 + b2, {0: (b1, False), s1: (a + b1, True)}):
-            _add(out, w + tail, mult * coeff)
+    # window r1 + s1 + 1, then r2 + s2 - 1 zeros, the r1 loop summed at once;
+    # cut at its pinned part s1, after p = alpha_1 + ... + alpha_{s1}
+    suffix = suffix_sums([0, 0] + [comb(r - r1 + s2 - 1, r - r1) for r1 in range(1, r + 1)])
+    flat = [1] * (s1 + 1)
+    for p in range(b1, a + b1 + 1):
+        tails = _lead(a + b1 + b2 - p, a + b1 - p, r + 1, s2 - 1, suffix)
+        _emit(out, _lead(p, b1, s1, 0, flat), tails)
 
 
 def _res12_case_iv(a, r, b1, s1, b2, s2, out):
-    for l in range(1, s2 + 1):
-        mult = binom(r + s2 - l - 1, r - 1)
-        if not mult:
-            continue
-        tail = (0,) * (r + s2 - l - 1)
-        for w, coeff in _chains(s1 + l + 1, a + b1 + b2, {0: (b1, False), s1: (b2, False)}):
-            _add(out, w + tail, mult * coeff)
+    # window s1 + l + 1, then r + s2 - l - 1 zeros, the l loop summed at once;
+    # cut at its pinned part s1, after p = alpha_1 + ... + alpha_{s1}
+    suffix = suffix_sums([0, 0] + [comb(r + s2 - l - 1, r - 1) for l in range(1, s2 + 1)])
+    flat = [1] * (s1 + 1)
+    for p in range(b1, a + b1 + 1):
+        tails = _lead(a + b1 + b2 - p, b2, s2 + 1, r - 1, suffix)
+        _emit(out, _lead(p, b1, s1, 0, flat), tails)
 
 
 _RES12_CASES = {
@@ -188,233 +219,167 @@ def expand_res_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinCom
 # expanded here; expand_res_2_2 symmetrizes by swapping the factors.
 
 
+def _firsts(a1: int, b1: int, r1: int) -> list:
+    """For p = 0 .. a1 + b1: the windows of r1 parts of p whose first part
+    carries binom(part, a1) (none for p < a1), the front segment of cases
+    (ii)-(iv) when their window is cut at its pinned part r1 + 1."""
+    flat = [1] * (r1 + 1)
+    return [_lead(p, a1, r1, 0, flat) for p in range(a1 + b1 + 1)]
+
+
 def _res22_case_i(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    for l1 in range(1, r2 + 1):
-        for l2 in range(0, r2 - l1 + 1):
-            m1 = _inner_shuffles(l2, s1 - 2)
-            if not m1:
-                continue
-            for l3 in range(0, r2 - l1 - l2 + 1):
-                l4 = r2 - l1 - l2 - l3
-                mult = m1 * binom(l4 + s2 - 1, l4)
-                if not mult:
-                    continue
-                z1 = (0,) * (l2 + s1 - 1)
-                z2 = (0,) * (l4 + s2 - 1)
-                for w1 in weak_composition_list(a1 + a2 + b1, r1 + l1 + 1):
-                    coeff = mult * binom(w1[0], a1) * binom(w1[r1], a2)
-                    if not coeff:
-                        continue
-                    for w2 in weak_composition_list(b2, l3 + 1):
-                        _add(out, w1 + z1 + w2 + z2, coeff)
+    # t = l1 + l2: the l1 loop (window r1 + l1 + 1, then l2 + s1 - 1 zeros)
+    # and the l3 loop (window l3 + 1, then l4 + s2 - 1 zeros) each summed
+    for t in range(1, r2 + 1):
+        # the widest window's multiplicity, _inner_shuffles(0, s1 - 2), is 1
+        mults = [_inner_shuffles(t - l1, s1 - 2) for l1 in range(1, t + 1)]
+        suffix = suffix_sums([0] * (r1 + 2) + mults)
+        heads = _pinned(_lead(a1 + a2 + b1, a1, r1 + t + 1, s1 - 1, suffix), r1, a2)
+        _emit(out, heads, _run_tails(b2, r2 - t, s2))
 
 
 def _res22_case_ii(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    for k in range(1, s1):
-        for l1 in range(1, r2 + 1):
-            m1 = binom(l1 + s1 - k - 2, l1 - 1)
-            if not m1:
-                continue
-            for l2 in range(0, r2 - l1 + 1):
-                l3 = r2 - l1 - l2
-                mult = m1 * binom(l3 + s2 - 1, l3)
-                if not mult:
-                    continue
-                z1 = (0,) * (l1 + s1 - k - 1)
-                z2 = (0,) * (l3 + s2 - 1)
-                for w1 in weak_composition_list(a1 + a2 + b1, r1 + k + 1):
-                    coeff = binom(w1[0], a1)
-                    if not coeff:
-                        continue
-                    coeff *= binom(w1[r1], a1 + b1 - sum(w1[:r1]))
-                    if not coeff:
-                        continue
-                    coeff *= mult
-                    for w2 in weak_composition_list(b2, l2 + 1):
-                        _add(out, w1 + z1 + w2 + z2, coeff)
+    # the k loop (window r1 + k + 1, then l1 + s1 - k - 1 zeros) and the l2
+    # loop (window l2 + 1, then l3 + s2 - 1 zeros) each summed at once; the
+    # first window is cut at its pinned part r1 + 1, after p
+    if s1 < 2:
+        return
+    firsts = _firsts(a1, b1, r1)
+    for l1 in range(1, r2 + 1):
+        suffix = suffix_sums([0, 0] + [comb(l1 + s1 - k - 2, l1 - 1) for k in range(1, s1)])
+        tails = _run_tails(b2, r2 - l1, s2)
+        for p in range(a1, a1 + b1 + 1):
+            seconds = _lead(a1 + a2 + b1 - p, a1 + b1 - p, s1, l1, suffix)
+            _emit(out, _join(firsts[p], seconds), tails)
 
 
 def _res22_case_iii(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    for l1 in range(1, r2 + 1):
-        l2 = r2 - l1
-        mult = binom(l2 + s2 - 1, l2)
-        if not mult:
-            continue
-        tail = (0,) * (l2 + s2 - 1)
-        pinned = {0: (a1, False), r1: (a1 + b1, True), r1 + s1: (a1 + a2 + b1, True)}
-        for w, coeff in _chains(r1 + l1 + s1 + 1, a1 + a2 + b1 + b2, pinned):
-            _add(out, w + tail, mult * coeff)
+    # window r1 + l1 + s1 + 1, then l2 + s2 - 1 zeros, the l1 loop summed at
+    # once; cut at its pinned parts r1 and r1 + s1, after
+    # p = alpha_1 + ... + alpha_{r1} and q = p + ... + alpha_{r1+s1}
+    suffix = suffix_sums([0, 0] + [comb(r2 - l1 + s2 - 1, r2 - l1) for l1 in range(1, r2 + 1)])
+    firsts = _firsts(a1, b1, r1)
+    flat = [1] * (s1 + 1)
+    for q in range(a1 + b1, a1 + a2 + b1 + 1):
+        tails = _lead(a1 + a2 + b1 + b2 - q, a1 + a2 + b1 - q, r2 + 1, s2 - 1, suffix)
+        for p in range(a1, a1 + b1 + 1):
+            _emit(out, _join(firsts[p], _lead(q - p, a1 + b1 - p, s1, 0, flat)), tails)
 
 
 def _res22_case_iv(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    for k in range(1, s2 + 1):
-        mult = binom(r2 + s2 - k - 1, r2 - 1)
-        if not mult:
-            continue
-        tail = (0,) * (r2 + s2 - k - 1)
-        pinned = {0: (a1, False), r1: (a1 + b1, True), r1 + s1: (b2, False)}
-        for w, coeff in _chains(r1 + s1 + k + 1, a1 + a2 + b1 + b2, pinned):
-            _add(out, w + tail, mult * coeff)
+    # window r1 + s1 + k + 1, then r2 + s2 - k - 1 zeros, the k loop summed
+    # at once; cut as in case (iii)
+    suffix = suffix_sums([0, 0] + [comb(r2 + s2 - k - 1, r2 - 1) for k in range(1, s2 + 1)])
+    firsts = _firsts(a1, b1, r1)
+    flat = [1] * (s1 + 1)
+    for q in range(a1 + b1, a1 + a2 + b1 + 1):
+        tails = _lead(a1 + a2 + b1 + b2 - q, b2, s2 + 1, r2 - 1, suffix)
+        for p in range(a1, a1 + b1 + 1):
+            _emit(out, _join(firsts[p], _lead(q - p, a1 + b1 - p, s1, 0, flat)), tails)
+
+
+def _lead_heads(a1: int, b1: int, r1: int, k: int) -> list:
+    """Cases v-vii: a window of l + 1 parts of a1 + b1 (l = 1 .. r1 - 1), its
+    first part carrying binom(part, a1), then k + r1 - l - 1 zeros, weighted
+    binom(k + r1 - l - 2, k - 1), the l loop summed at once."""
+    suffix = suffix_sums([0, 0] + [comb(k + r1 - l - 2, k - 1) for l in range(1, r1)])
+    return _lead(a1 + b1, a1, r1, k, suffix)
 
 
 def _res22_case_v(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    for l in range(1, r1):
-        for k1 in range(1, s1 + 1):
-            m1 = binom(r1 + k1 - l - 2, k1 - 1)
-            if not m1:
-                continue
-            for k2 in range(0, s1 - k1 + 1):
-                k3 = s1 - k1 - k2
-                if k3 < 1:
-                    continue
-                for l1 in range(1, r2 + 1):
-                    m2 = m1 * binom(k3 + l1 - 2, l1 - 1)
-                    if not m2:
-                        continue
-                    for l2 in range(0, r2 - l1 + 1):
-                        l3 = r2 - l1 - l2
-                        mult = m2 * binom(l3 + s2 - 1, l3)
-                        if not mult:
-                            continue
-                        z1 = (0,) * (r1 + k1 - l - 1)
-                        z2 = (0,) * (k3 + l1 - 1)
-                        z3 = (0,) * (l3 + s2 - 1)
-                        for w1 in weak_composition_list(a1 + b1, l + 1):
-                            c1 = mult * binom(w1[0], a1)
-                            if not c1:
-                                continue
-                            # the a2 window is closed by its own prefix
-                            # constraint; the printed display omits it (see
-                            # FORMULA_NOTES.md)
-                            for w2 in weak_composition_list(a2, k2 + 1):
-                                for w3 in weak_composition_list(b2, l2 + 1):
-                                    _add(out, w1 + z1 + w2 + z2 + w3 + z3, c1)
+    # the l loop, the k2 loop (window k2 + 1 of a2, then k3 + l1 - 1 zeros,
+    # k3 = s1 - k1 - k2 >= 1) and the l2 loop (window l2 + 1 of b2, then
+    # l3 + s2 - 1 zeros) each summed at once.  The a2 window is closed by its
+    # own prefix constraint; the printed display omits it (see
+    # FORMULA_NOTES.md)
+    if r1 < 2 or s1 < 2:
+        return
+    thirds = [None] + [_run_tails(b2, r2 - l1, s2) for l1 in range(1, r2 + 1)]
+    for k1 in range(1, s1):
+        heads = _lead_heads(a1, b1, r1, k1)
+        m = s1 - k1  # k2 + k3
+        for l1 in range(1, r2 + 1):
+            suffix = suffix_sums([0] + [comb(m - k2 + l1 - 2, l1 - 1) for k2 in range(m)])
+            _emit(out, heads, _join(_lead(a2, 0, m, l1, suffix), thirds[l1]))
 
 
 def _res22_case_vi(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    for l1 in range(1, r1):
-        for k in range(1, s1):
-            m1 = binom(k + r1 - l1 - 2, k - 1)
-            if not m1:
-                continue
-            for l2 in range(1, r2 + 1):
-                mult = m1 * binom(r2 + s2 - l2 - 1, s2 - 1)
-                if not mult:
-                    continue
-                z1 = (0,) * (k + r1 - l1 - 1)
-                z2 = (0,) * (r2 + s2 - l2 - 1)
-                # w2 (s1 - k + 1 parts, the last closing the a2 prefix) and
-                # w3 (l2 parts) walked as one window
-                second = _chains(s1 - k + 1 + l2, a2 + b2, {s1 - k: (a2, True)})
-                for w1, c1 in _chains(l1 + 1, a1 + b1, {0: (a1, False)}):
-                    for w, c2 in second:
-                        _add(out, w1 + z1 + w + z2, mult * c1 * c2)
+    # the l1 loop, and the l2 loop (window s1 - k + l2 + 1, its part s1 - k
+    # closing the a2 prefix, then r2 + s2 - l2 - 1 zeros), each summed at
+    # once; the second window is cut at its part s1 - k, after p, the sum of
+    # the parts before it
+    if r1 < 2 or s1 < 2:
+        return
+    suffix = suffix_sums([0, 0] + [comb(r2 + s2 - l2 - 1, s2 - 1) for l2 in range(1, r2 + 1)])
+    tails = [_lead(a2 + b2 - p, a2 - p, r2 + 1, s2 - 1, suffix) for p in range(a2 + 1)]
+    for k in range(1, s1):
+        heads = _lead_heads(a1, b1, r1, k)
+        flat = [1] * (s1 - k + 1)
+        for p in range(a2 + 1):
+            _emit(out, _join(heads, _lead(p, 0, s1 - k, 0, flat)), tails[p])
 
 
 def _res22_case_vii(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    for l in range(1, r1):
-        for k1 in range(1, s1):
-            m1 = binom(k1 + r1 - l - 2, k1 - 1)
-            if not m1:
-                continue
-            for k2 in range(1, s2 + 1):
-                mult = m1 * binom(r2 + s2 - k2 - 1, r2 - 1)
-                if not mult:
-                    continue
-                z1 = (0,) * (k1 + r1 - l - 1)
-                z2 = (0,) * (r2 + s2 - k2 - 1)
-                mix = s1 - k1  # index of position r1+s1+1 within the window
-                second = _chains(mix + k2 + 1, a2 + b2, {mix: (b2, False)})
-                for w1, c1 in _chains(l + 1, a1 + b1, {0: (a1, False)}):
-                    for w, c2 in second:
-                        _add(out, w1 + z1 + w + z2, mult * c1 * c2)
+    # the l loop, and the k2 loop (window s1 - k1 + k2 + 1, its part s1 - k1
+    # at position r1 + s1 + 1, then r2 + s2 - k2 - 1 zeros), each summed; the
+    # second window is cut at its part s1 - k1, after p, as in case (vi)
+    if r1 < 2 or s1 < 2:
+        return
+    suffix = suffix_sums([0, 0] + [comb(r2 + s2 - k2 - 1, r2 - 1) for k2 in range(1, s2 + 1)])
+    tails = [_lead(a2 + b2 - p, b2, s2 + 1, r2 - 1, suffix) for p in range(a2 + 1)]
+    for k1 in range(1, s1):
+        heads = _lead_heads(a1, b1, r1, k1)
+        flat = [1] * (s1 - k1 + 1)
+        for p in range(a2 + 1):
+            _emit(out, _join(heads, _lead(p, 0, s1 - k1, 0, flat)), tails[p])
 
 
 def _res22_case_viii(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    for l1 in range(1, r1 + 1):
-        for l2 in range(0, r1 - l1 + 1):
-            l3 = r1 - l1 - l2
-            if l3 < 1:
-                continue
-            m1 = _inner_shuffles(l2, s1 - 2)
-            if not m1:
-                continue
-            for l in range(1, r2 + 1):
-                mult = m1 * binom(r2 + s2 - l - 1, s2 - 1)
-                if not mult:
-                    continue
-                z1 = (0,) * (l2 + s1 - 1)
-                z2 = (0,) * (r2 + s2 - l - 1)
-                width = l3 + l + 1
-                mix = l3  # index of position r1+s1+1 within the window
-                for w1 in weak_composition_list(a1 + b1, l1 + 1):
-                    c1 = mult * binom(w1[0], a1)
-                    if not c1:
-                        continue
-                    for w in weak_composition_list(a2 + b2, width):
-                        c2 = binom(w[mix], a2)
-                        if c2:
-                            _add(out, w1 + z1 + w + z2, c1 * c2)
+    # t = l1 + l2 = r1 - l3; the l1 loop, and the l loop (window l3 + l + 1
+    # of a2 + b2, then r2 + s2 - l - 1 zeros), each summed at once
+    if r1 < 2:
+        return
+    mults = [comb(r2 + s2 - l - 1, s2 - 1) for l in range(1, r2 + 1)]
+    for t in range(1, r1):
+        mix = r1 - t  # l3, the index of position r1+s1+1 within the window
+        suffix = suffix_sums([0] * (mix + 2) + mults)  # mults[-1] = 1
+        tails = _pinned(_lead(a2 + b2, 0, mix + r2 + 1, s2 - 1, suffix), mix, a2)
+        _emit(out, _split_heads(a1 + b1, a1, s1, t), tails)
 
 
 def _res22_case_ix(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    for l1 in range(1, r1 + 1):
-        for l2 in range(0, r1 - l1 + 1):
-            l3 = r1 - l1 - l2
-            if l3 < 1:
-                continue
-            m1 = _inner_shuffles(l2, s1 - 2)
-            if not m1:
-                continue
-            for k in range(1, s2 + 1):
-                mult = m1 * binom(r2 + s2 - k - 1, r2 - 1)
-                if not mult:
-                    continue
-                z1 = (0,) * (l2 + s1 - 1)
-                z2 = (0,) * (r2 + s2 - k - 1)
-                width = l3 + k + 1
-                mix = l3
-                for w1 in weak_composition_list(a1 + b1, l1 + 1):
-                    c1 = mult * binom(w1[0], a1)
-                    if not c1:
-                        continue
-                    for w in weak_composition_list(a2 + b2, width):
-                        c2 = binom(w[mix], b2 - sum(w[:mix]))
-                        if c2:
-                            _add(out, w1 + z1 + w + z2, c1 * c2)
+    # t = l1 + l2 = r1 - l3; the l1 loop, and the k loop (window l3 + k + 1
+    # of a2 + b2, then r2 + s2 - k - 1 zeros), each summed at once; the
+    # second window is cut at its pinned part l3 + 1, after p
+    if r1 < 2:
+        return
+    suffix = suffix_sums([0, 0] + [comb(r2 + s2 - k - 1, r2 - 1) for k in range(1, s2 + 1)])
+    ends = [_lead(a2 + b2 - p, b2 - p, s2 + 1, r2 - 1, suffix) for p in range(b2 + 1)]
+    for t in range(1, r1):
+        mix = r1 - t  # l3
+        flat = [1] * (mix + 1)
+        tails = []
+        for p in range(b2 + 1):
+            tails += _join(_lead(p, 0, mix, 0, flat), ends[p])
+        _emit(out, _split_heads(a1 + b1, a1, s1, t), tails)
 
 
 def _res22_case_x(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    for l1 in range(1, r1 + 1):
-        for l2 in range(0, r1 - l1 + 1):
-            m1 = _inner_shuffles(l2, s1 - 2)
-            if not m1:
-                continue
-            for l3 in range(0, r1 - l1 - l2 + 1):
-                l4 = r1 - l1 - l2 - l3
-                if l4 < 1:
-                    continue
-                for k1 in range(1, s2 + 1):
-                    m2 = m1 * binom(k1 + l4 - 2, l4 - 1)
-                    if not m2:
-                        continue
-                    for k2 in range(0, s2 - k1 + 1):
-                        k3 = s2 - k1 - k2
-                        mult = m2 * binom(k3 + r2 - 1, k3)
-                        if not mult:
-                            continue
-                        z1 = (0,) * (l2 + s1 - 1)
-                        z2 = (0,) * (k1 + l4 - 1)
-                        z3 = (0,) * (k3 + r2 - 1)
-                        for w1 in weak_composition_list(a1 + b1, l1 + 1):
-                            c1 = mult * binom(w1[0], a1)
-                            if not c1:
-                                continue
-                            # b2 window closed by its own prefix constraint,
-                            # as in case (v); see FORMULA_NOTES.md
-                            for w2 in weak_composition_list(b2, l3 + 1):
-                                for w3 in weak_composition_list(a2, k2 + 1):
-                                    _add(out, w1 + z1 + w2 + z2 + w3 + z3, c1)
+    # t = l1 + l2 and l3 + l4 = r1 - t, l4 >= 1; the l1 loop, the l3 loop
+    # (window l3 + 1 of b2, then k1 + l4 - 1 zeros) and the k2 loop (window
+    # k2 + 1 of a2, then k3 + r2 - 1 zeros) each summed at once.  The b2
+    # window is closed by its own prefix constraint, as in case (v); see
+    # FORMULA_NOTES.md
+    if r1 < 2:
+        return
+    thirds = [None] + [_run_tails(a2, s2 - k1, r2) for k1 in range(1, s2 + 1)]
+    for t in range(1, r1):
+        heads = _split_heads(a1 + b1, a1, s1, t)
+        rest = r1 - t
+        for k1 in range(1, s2 + 1):
+            mults = [comb(k1 + rest - l3 - 2, rest - l3 - 1) for l3 in range(rest)]
+            suffix = suffix_sums([0] + mults)
+            _emit(out, heads, _join(_lead(b2, 0, rest, k1, suffix), thirds[k1]))
 
 
 _RES22_CASES = {
@@ -462,7 +427,6 @@ def _x_table(a_seq: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     starts to be nonzero, up to A; every branch reaches a tuple.
     """
     total = sum(a_seq)
-    comb = math.comb
     states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
     used = 0
     for a in a_seq[:-1]:
@@ -486,9 +450,11 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
     ordering counts once, weighted by the orderings it stands for; the
     x-factors read alpha only through its prefix sums at n - 1 pinned
     positions, so they are summed over the orderings in a table keyed by
-    those sums (_x_table); and each alpha is built once per lc, from the
-    segments between the pinned positions.  Factors that all differ still
-    have n! distinct orderings, so n stays capped at MAX_NFOLD.
+    those sums (_x_table); and each alpha is built once per lc_1 ..
+    lc_{n-2} and lc_{n-1} + lc_n, from the segments between the pinned
+    positions, its last window weighted by the suffix sums over lc_{n-1}.
+    Factors that all differ still have n! distinct orderings, so n stays
+    capped at MAX_NFOLD.
     """
     pairs = [(a, r) for a, r in pairs]
     if not pairs:
@@ -513,35 +479,52 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
             merged[key] = merged.get(key, 0) + xcoef
     runs = [(rs, prefix_sums(rs), list(merged.items())) for rs, merged in by_runs.items()]
     out: dict = {}
-    for lc in composition_list(big_r, n):
-        lpre = prefix_sums(lc)
-        table: dict = {}
-        for rs, rpre, xtable in runs:
-            # the display's binom(lc_j + ... + lc_n - r_{j+1} - ... - r_n - 1,
-            # r_j - 1), its sums taken from the front since both total R
-            ycoef = weight
-            for j in range(2, n + 1):
-                ycoef *= binom(rpre[j] - lpre[j - 1] - 1, rs[j - 1] - 1)
+    # m = lc_{n-1} + lc_n.  The compositions lc with the same front
+    # lc_1 .. lc_{n-2} and the same m differ only in the window of
+    # c = lc_{n-1} parts at the end of alpha, padded to m - 1 parts with the
+    # lc_n - 1 zeros; each end is added once, weighted by the sum over the c
+    # it fits.  Only the last y-factor, binom(lc_n - 1, r_n - 1), reads c, so
+    # its suffix sums over c are taken once per run order and scaled by each
+    # x-table entry.
+    for m in range(2, big_r - n + 3):
+        for front in composition_list(big_r - m, n - 2):
+            lpre = prefix_sums(front)
+            table: dict = {}
+            for rs, rpre, xtable in runs:
+                # the display's binom(lc_j + ... + lc_n - r_{j+1} - ... -
+                # r_n - 1, r_j - 1) for j < n, its sums taken from the front
+                # since both total R
+                ycoef = weight
+                for j in range(2, n):
+                    ycoef *= binom(rpre[j] - lpre[j - 1] - 1, rs[j - 1] - 1)
+                    if not ycoef:
+                        break
                 if not ycoef:
-                    break
-            if not ycoef:
-                continue
-            for key, xcoef in xtable:
-                table[key] = table.get(key, 0) + ycoef * xcoef
-        # alpha = (P_1,) + a weak composition of P_{j+1} - P_j into lc_j
-        # parts for j = 1 .. n-1, with P_n = A; then lc_n - 1 zeros
-        tail = (0,) * (lc[-1] - 1)
-        inner, last = lc[:-2], lc[-2]
-        for key, coeff in table.items():
-            heads = [key[:1]]
-            for parts, lo, hi in zip(inner, key, key[1:]):
-                segment = weak_composition_list(hi - lo, parts)
-                heads = [head + seg for head in heads for seg in segment]
-            for end in weak_composition_list(big_a - key[-1], last):
-                end += tail
-                for head in heads:
-                    exps = head + end
-                    out[exps] = out.get(exps, 0) + coeff
+                    continue
+                ysuf = suffix_sums([0] + [binom(m - c - 1, rs[-1] - 1) for c in range(1, m)])
+                if not ysuf[0]:
+                    continue
+                for key, xcoef in xtable:
+                    coeff = ycoef * xcoef
+                    sums = table.get(key)
+                    if sums is None:
+                        table[key] = [coeff * y for y in ysuf]
+                    else:
+                        table[key] = [t + coeff * y for t, y in zip(sums, ysuf)]
+            # alpha = (P_1,) + a weak composition of P_{j+1} - P_j into lc_j
+            # parts for j = 1 .. n-1, with P_n = A; then lc_n - 1 zeros
+            for key, suffix in table.items():
+                heads = [key[:1]]
+                for parts, lo, hi in zip(front, key, key[1:]):
+                    segment = weak_composition_list(hi - lo, parts)
+                    heads = [head + seg for head in heads for seg in segment]
+                for end, last in weak_compositions_with_last(big_a - key[-1], m - 1):
+                    coeff = suffix[last]
+                    if not coeff:
+                        continue
+                    for head in heads:
+                        exps = head + end
+                        out[exps] = out.get(exps, 0) + coeff
     return LinComb.from_exponents(out)
 
 

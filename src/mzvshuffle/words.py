@@ -114,9 +114,23 @@ def _admissible(text: str) -> bool:
     return not text or (text[0] == "x" and text[-1] == "y")
 
 
-def _exponent_text(exps: Iterable[int]) -> str:
+class _XYTable(dict):
+    """"x" * a + "y" by exponent a.  The exponents below _X_Y_SIZE are
+    stored; that covers every exponent of the verify grids and the
+    benchmark sweep (their weights stay below 20) with room to spare.  Any
+    other exponent is built when asked for, and not stored."""
+
+    def __missing__(self, a: int) -> str:
+        return "x" * a + "y"
+
+
+_X_Y_SIZE = 64
+_X_Y = _XYTable((a, "x" * a + "y") for a in range(_X_Y_SIZE))
+
+
+def _exponent_text(exps: tuple[int, ...]) -> str:
     """(a_1, ..., a_r) -> the letters of x^{a_1} y ... x^{a_r} y."""
-    return "".join("x" * a + "y" for a in exps)
+    return "".join(map(_X_Y.__getitem__, exps))
 
 
 def _zeta_index(text: str) -> tuple[int, ...]:

@@ -91,6 +91,14 @@ def test_restricted_suite():
     _report("restricted<=10", ok, _suite_detail(reports))
 
 
+def test_res22_suite_bound_11(monkeypatch):
+    # 6,435 points past the weight cap of 10; about 2.5 s on a 2-core x86 box
+    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "11")
+    report = verify.run_suite("res22", 11)
+    ok = _suite_ok(report, 60) and report.checked == 6435
+    _report("res22<=11", ok, _suite_detail([report]))
+
+
 def test_nfold_suite():
     report = verify.run_suite("nfold", 9)
     _report("nfold<=9", _suite_ok(report, 120), _suite_detail([report]))
@@ -109,6 +117,14 @@ def test_appendix_equivalences():
     elapsed = time.perf_counter() - start
     ok = all(r.ok for r in reports) and elapsed <= 120
     _report("appendix-equivalences<=10", ok, _suite_detail(reports))
+
+
+def test_appendix_b_suite_bound_12(monkeypatch):
+    # 924 points past the weight cap of 10; about 0.3 s on a 2-core x86 box
+    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "12")
+    report = verify.run_suite("appendixB", 12)
+    ok = _suite_ok(report, 30) and report.checked == 924
+    _report("appendixB<=12", ok, _suite_detail([report]))
 
 
 def test_algebraic_properties():

@@ -7,7 +7,9 @@ from mzvshuffle.combinat import (
     compositions,
     distinct_orderings,
     prefix_sums,
+    suffix_sums,
     weak_compositions,
+    weak_compositions_with_last,
 )
 
 
@@ -68,6 +70,39 @@ def test_compositions():
 def test_prefix_sums():
     assert prefix_sums((3, 1, 2)) == (0, 3, 4, 6)
     assert prefix_sums(()) == (0,)
+
+
+def test_suffix_sums():
+    assert suffix_sums([3, 1, 2]) == [6, 3, 2, 0]
+    assert suffix_sums([]) == [0]
+
+
+def test_weak_compositions_with_last_against_brute_force():
+    for total in range(7):
+        for parts in range(7):
+            want = []
+            for w in itertools.product(range(total + 1), repeat=parts):
+                if sum(w) == total:
+                    nonzero = [i + 1 for i, x in enumerate(w) if x]
+                    want.append((w, nonzero[-1] if nonzero else 0))
+            got = weak_compositions_with_last(total, parts)
+            assert sorted(got) == sorted(want), (total, parts)
+            assert len(got) == len(want)
+
+
+def test_zero_padded_windows_summed_once():
+    # sum_l m(l) [w = u + 0^(W - l), u in WC(n, l)] = [w in WC(n, W)] sum_{l >= last(w)} m(l)
+    for total in range(5):
+        for width in range(1, 6):
+            mults = [0] + [3 * l + 1 for l in range(1, width + 1)]
+            want = {}
+            for l in range(1, width + 1):
+                for u in weak_compositions(total, l):
+                    w = u + (0,) * (width - l)
+                    want[w] = want.get(w, 0) + mults[l]
+            suffix = suffix_sums(mults)
+            got = {w: suffix[last] for w, last in weak_compositions_with_last(total, width)}
+            assert got == want, (total, width)
 
 
 def test_binomial_chains_against_filtered_compositions():

@@ -124,6 +124,24 @@ def test_res_1_2_cases_match_pattern_oracle():
             )
 
 
+def test_res_1_2_cases_match_pattern_oracle_on_runs_of_three():
+    # runs of 3 make each summed split loop run three times or more
+    grid = [
+        (a, r, b1, s1, b2, s2)
+        for r, s1, s2 in itertools.product((1, 2, 3), repeat=3)
+        if 3 in (r, s1, s2)
+        for a in (0, 1, 2)
+        for b1 in (0, 1)
+        for b2 in (0, 1, 2)
+        if a + r + b1 + s1 + b2 + s2 <= 9
+    ]
+    assert len(grid) == 202
+    for point in grid:
+        buckets = pattern_cases_1_2(*point)
+        for case in ("i", "ii", "iii", "iv"):
+            assert res_1_2_case(case, *point) == buckets.get(case, LinComb()), (case, point)
+
+
 def test_res_1_2_case_accessor_validation():
     with pytest.raises(ValueError):
         res_1_2_case("v", 1, 1, 1, 1, 1, 1)
@@ -201,6 +219,23 @@ def test_res_2_2_each_case_matches_pattern_oracle():
             )
 
 
+def test_res_2_2_cases_match_pattern_oracle_on_runs_of_three():
+    # runs of 3 make each summed split loop run three times or more
+    grid = [
+        (a1, r1, a2, r2, b1, s1, b2, s2)
+        for r1, r2, s1, s2 in itertools.product((1, 2, 3), repeat=4)
+        if 3 in (r1, r2, s1, s2)
+        for a1, a2, b1, b2 in itertools.product((0, 1), repeat=4)
+        if a1 + a2 + b1 + b2 + r1 + r2 + s1 + s2 <= 10
+    ]
+    assert len(grid) == 532
+    cases = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x")
+    for point in grid:
+        buckets = pattern_cases_2_2(*point)
+        for case in cases:
+            assert res_2_2_case(case, *point) == buckets.get(case, LinComb()), (case, point)
+
+
 def test_res_2_2_case_v_needs_long_first_run():
     # case (v) requires r1 >= 2 and s1 >= 2; the deep-run point exercises it
     point = (0, 2, 1, 1, 0, 2, 1, 1)
@@ -269,8 +304,11 @@ def test_nfold_three_oracle_grid():
         [(1, 1)] * 4,
         [(3, 1), (2, 1), (2, 1), (1, 2), (1, 1)],
         [(0, 1), (1, 1), (0, 2), (2, 1)],
+        # last two y-runs long enough that several (lc_{n-1}, lc_n) share a front
+        [(4, 3), (2, 2), (1, 4)],
+        [(5, 2), (0, 3), (3, 1), (2, 2)],
     ],
-    ids=["2-1^5", "1-1^4", "five-fold", "four-fold"],
+    ids=["2-1^5", "1-1^4", "five-fold", "four-fold", "three-fold-long-runs", "four-fold-long-runs"],
 )
 def test_nfold_repeated_factors_match_oracle(pairs):
     assert expand_nfold(pairs) == shuffle_nfold([run_word(a, r) for a, r in pairs])

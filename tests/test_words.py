@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -83,6 +84,21 @@ def test_exponent_form_examples():
         to_exponent_form(Word("yx"))
     with pytest.raises(NotInH1Error):
         to_exponent_form(EMPTY_WORD)
+
+
+def _exponent_text_reference(exps):
+    return "".join("x" * a + "y" for a in exps)
+
+
+def test_exponent_text_matches_the_generator_form():
+    rng = random.Random(5)
+    size = words._X_Y_SIZE
+    cases = [(), (0,), (size - 1,), (size,), (size + 1, 0, 3), (2, size, 1), (0, 0, size - 1)]
+    cases += [(-1, 2), (True, 0)]  # read as the generator form reads them
+    cases += [tuple(rng.randrange(size + 3) for _ in range(rng.randrange(12))) for _ in range(500)]
+    for exps in cases:
+        assert words._exponent_text(exps) == _exponent_text_reference(exps), exps
+    assert from_exponent_form((10**6,)).text == "x" * 10**6 + "y"
 
 
 def test_word_to_mzv_examples():
