@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import heapq
 import json
 import math
+import re
 import sys
 
 from .closed_form import expand_general
@@ -29,16 +31,17 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 
-# Limits of the shuffle methods, each tested by _refusal before any work, for
-# words of n and m letters with r and s y's.  The oracle's output has up to
-# min(C(n+m, n), C(n+m, r+s)) words of n+m letters.  The enumeration visits
-# C(n+m, n) interleavings.  The closed form walks C(r+s, r) y-block layouts,
-# and its output words have L = n+m letters, end in y and hold all Y = r+s y's.
+# Limits tested by _refusal before any work, for words of n and m letters
+# with r and s y's.  Three bound a method's work: the oracle's letters, the
+# enumeration's C(n+m, n) interleavings, the closed form's C(r+s, r) y-block
+# layouts.  One bounds every method's output, words times n+m letters, at 18
+# bytes a letter at most (tracemalloc); identity evaluates one in 20-35 us.
 ORACLE_MAX_LETTERS = 500
-ORACLE_MAX_PRINTED = 10**9
 PERMUTATION_MAX_INTERLEAVINGS = 10**6
 GENERAL_MAX_LAYOUTS = 10**5
-GENERAL_MAX_LETTERS = 10**8
+MAX_PRINTED_LETTERS = 3 * 10**7
+IDENTITY_MAX_LETTERS = 10**5
+_RUN = {"x": re.compile("x*"), "y": re.compile("y*")}
 
 _TERMS_HELP = (
     "accepted from 16 to 10^7 but no longer changes the value, which is computed "
@@ -69,11 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("recursive", "permutation", "general", "auto"),
         default="auto",
-        help=f"recursive refuses pairs of more than {ORACLE_MAX_LETTERS} letters or past "
-        "its output limit; auto (the default) runs general on those if both words end "
-        "in y, else recursive; "
+        help=f"recursive refuses pairs of more than {ORACLE_MAX_LETTERS} letters; auto "
+        "(the default) runs general on those if both words end in y, else recursive; "
         "general runs the closed form and needs both words ending in y; permutation "
-        "and general refuse pairs past their work limits",
+        "and general refuse pairs past their work limits, and every method a product "
+        f"of more than {MAX_PRINTED_LETTERS} printed letters",
     )
     p_shuffle.add_argument("--format", choices=("plain", "latex", "json"), default="plain")
 
@@ -116,61 +119,79 @@ def _binomial_capped(n: int, k: int, cap: int) -> int:
     return out
 
 
-def _general_layouts(r: int, s: int) -> int:
-    """C(r+s, r), the y-block layouts the closed form walks for y-counts r
-    and s, or some number above GENERAL_MAX_LAYOUTS."""
-    return _binomial_capped(r + s, r, GENERAL_MAX_LAYOUTS)
+def _term_count(u: str, v: str, cap: int) -> int:
+    """The number of distinct words of u ш v, or cap + 1 once it is above cap.
 
-
-def _general_letters(n: int, m: int, ys: int) -> int:
-    """min(C(L-1, Y-1), C(L, n)) * L for L = n+m letters and Y = ys y's, a
-    bound on the letters the closed form prints, or some number above
-    GENERAL_MAX_LETTERS."""
-    size = n + m
-    cap = GENERAL_MAX_LETTERS // size
-    return size * min(_binomial_capped(size - 1, ys - 1, cap), _binomial_capped(size, n, cap))
-
-
-def _oracle_letters(n: int, m: int, ys: int) -> int:
-    """min(C(L, Y), C(L, n)) * L for L = n+m letters and Y = ys y's, a bound
-    on the letters the oracle prints, or some number above
-    ORACLE_MAX_PRINTED."""
-    size = n + m
-    if not size:
-        return 0
-    cap = ORACLE_MAX_PRINTED // size
-    return size * min(_binomial_capped(size, ys, cap), _binomial_capped(size, n, cap))
-
-
-def _refusal(method: str, u: Word, v: Word) -> str | None:
-    """Why `method` refuses to shuffle u and v, or None when it takes them."""
+    A subset automaton over the pairs (i, j) of letters of u and v used that
+    reads one maximal output run c^t a step: a pair that can go on has used
+    up u's run of c at i or v's at j, so the pairs lie on two segments.
+    Distinct paths are distinct words, and each pending prefix extends to
+    one, so the count stops once they and the finished words pass the cap.
+    """
     n, m = len(u), len(v)
-    if method == "recursive":
-        if n + m > ORACLE_MAX_LETTERS:
-            return (f"{n} + {m} letters are too many for the recursive shuffle "
-                    f"oracle, which takes at most {ORACLE_MAX_LETTERS}")
-        ys = u.y_count + v.y_count
-        if _oracle_letters(n, m, ys) > ORACLE_MAX_PRINTED:
-            return (f"min(C({n + m}, {ys}), C({n + m}, {n})) words of {n + m} letters "
-                    f"may be too many for the recursive shuffle oracle, which prints "
-                    f"at most {ORACLE_MAX_PRINTED} letters")
-    elif method == "permutation":
-        limit = PERMUTATION_MAX_INTERLEAVINGS
-        if _binomial_capped(n + m, n, limit) > limit:
-            return (f"C({n + m}, {n}) interleavings are too many for the permutation "
-                    f"enumeration, which takes at most {PERMUTATION_MAX_INTERLEAVINGS}")
-    elif not (u.ends_with_y and v.ends_with_y):
-        return "the general closed form needs both words nonempty and ending in y"
-    else:
-        r, s = u.y_count, v.y_count
-        if _general_layouts(r, s) > GENERAL_MAX_LAYOUTS:
-            return (f"C({r + s}, {r}) y-block layouts are too many for the general "
-                    f"closed form, which takes at most {GENERAL_MAX_LAYOUTS}")
-        if _general_letters(n, m, r + s) > GENERAL_MAX_LETTERS:
-            return (f"min(C({n + m - 1}, {r + s - 1}), C({n + m}, {n})) words of {n + m} "
-                    f"letters may be too many for the general closed form, which prints "
-                    f"at most {GENERAL_MAX_LETTERS} letters")
-    return None
+    start = (0, "", ((0, 0),))
+    pending, heap, live = {start: 1}, [start], 1
+    while heap:  # in order of letters read, so that equal states merge
+        depth, last, pairs = key = heapq.heappop(heap)
+        count = pending.pop(key)
+        if depth == n + m:
+            continue  # a finished word, counted in live
+        live -= count
+        for c in "xy".replace(last, ""):
+            segments = []  # (lo, hi, i, j, di, dj): pairs (i + di t, j + dj t), lo <= t <= hi
+            for i, j in pairs:
+                a, b = _RUN[c].match(u, i).end() - i, _RUN[c].match(v, j).end() - j
+                segments.append((max(a if i + a < n else a + b, 1), a + b, i + a, j - a, 0, 1))
+                if j + b < m:
+                    segments.append((max(b, 1), a + b, i - b, j + b, 1, 0))
+            # a segment's values past its first cap + 1 are never reached
+            ts = {t for lo, hi, *_ in segments for t in range(lo, min(hi, lo + cap) + 1)}
+            for t in sorted(ts):
+                ends = {(i + di * t, j + dj * t)
+                        for lo, hi, i, j, di, dj in segments if lo <= t <= hi}
+                child = (depth + t, c, tuple(sorted(ends)))
+                if child not in pending:
+                    heapq.heappush(heap, child)
+                pending[child] = pending.get(child, 0) + count
+                live += count
+                if live > cap:
+                    return cap + 1
+    return live
+
+
+def _refusal(method: str, u: Word, v: Word) -> tuple[str, str | None]:
+    """The method that runs, `auto` resolved, and why it refuses to shuffle
+    u and v, or None; `identity` is the oracle under identity's budget.  The
+    method's work limit comes first, then the output check of every method,
+    which counts the words only if their sum C(n+m, n) could pass it."""
+    n, m = len(u), len(v)
+    size, r, s = n + m, u.y_count, v.y_count
+    budget = IDENTITY_MAX_LETTERS if method == "identity" else MAX_PRINTED_LETTERS
+    cap = budget // max(size, 1)
+    interleavings = _binomial_capped(size, n, max(cap, PERMUTATION_MAX_INTERLEAVINGS))
+    general = None
+    if not (u.ends_with_y and v.ends_with_y):
+        general = "the general closed form needs both words nonempty and ending in y"
+    elif _binomial_capped(r + s, r, GENERAL_MAX_LAYOUTS) > GENERAL_MAX_LAYOUTS:
+        general = (f"C({r + s}, {r}) y-block layouts are too many for the general "
+                   f"closed form, which takes at most {GENERAL_MAX_LAYOUTS}")
+    deep = size > ORACLE_MAX_LETTERS
+    if method == "auto":
+        method = "general" if deep and u.ends_with_y and v.ends_with_y else "recursive"
+    if deep and method in ("recursive", "identity"):
+        hint = " (try --method general)" if method == "recursive" and general is None else ""
+        return method, (f"{n} + {m} letters are too many for the recursive shuffle "
+                        f"oracle, which takes at most {ORACLE_MAX_LETTERS}{hint}")
+    if method == "permutation" and interleavings > PERMUTATION_MAX_INTERLEAVINGS:
+        return method, (f"C({size}, {n}) interleavings are too many for the permutation "
+                        f"enumeration, which takes at most {PERMUTATION_MAX_INTERLEAVINGS}")
+    if method == "general" and general:
+        return method, general
+    if interleavings > cap and _term_count(u.text, v.text, cap) > cap:
+        use = "identity evaluates" if method == "identity" else "a shuffle prints"
+        return method, (f"the product has more than {cap} words of {size} letters: too "
+                        f"many, {use} at most {budget} letters")
+    return method, None
 
 
 def _cmd_shuffle(args) -> int:
@@ -180,13 +201,8 @@ def _cmd_shuffle(args) -> int:
     except ValueError as exc:  # a syntax error, or an exponent or a word too long
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    method = args.method
-    if method == "auto":
-        closed_form = _refusal("recursive", u, v) and u.ends_with_y and v.ends_with_y
-        method = "general" if closed_form else "recursive"
-    if refusal := _refusal(method, u, v):
-        if method == "recursive" and _refusal("general", u, v) is None:
-            refusal += " (try --method general)"
+    method, refusal = _refusal(args.method, u, v)
+    if refusal:
         print(f"error: {refusal}", file=sys.stderr)
         return EXIT_DOMAIN
     try:
@@ -272,7 +288,7 @@ def _cmd_identity(args) -> int:
     except ValueError as exc:  # a syntax error, or an exponent or a word too long
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if refusal := _refusal("recursive", u, v):  # the residual needs the oracle's product
+    if refusal := _refusal("identity", u, v)[1]:  # the residual needs the oracle's product
         print(f"error: {refusal}", file=sys.stderr)
         return EXIT_DOMAIN
     terms = args.terms if args.terms is not None else numeric.DEFAULT_TERMS

@@ -218,7 +218,8 @@ def identity_residual_with_bound(u, v, terms: int = DEFAULT_TERMS) -> tuple[floa
     Both come from the fixed-point mantissas: the residual is
     |U V - W| for U, V, W the mantissas of zeta(u), zeta(v) and
     zeta(u shuffle v), and since the true residual is 0, the bound is the
-    error the mantissas can carry into it.
+    error the mantissas can carry into it.  Raises ValueError when the bound
+    is not below zeta(u) zeta(v), where a product evaluated as 0 would pass.
     """
     from .shuffle import shuffle_recursive
 
@@ -238,4 +239,9 @@ def identity_residual_with_bound(u, v, terms: int = DEFAULT_TERMS) -> tuple[floa
         + (right.mantissa_err << SCALE_BITS)
     )
     scale = 1 << (2 * SCALE_BITS)
+    if bound >= left_u * left_v:
+        raise ValueError(
+            f"at the fixed {FRAC_BITS} fraction bits, the proven error bound "
+            f"{_round_up(bound, scale):.6g} is not below zeta(u) zeta(v) = "
+            f"{left_u * left_v / scale:.6g}, so the check could not tell the product from 0")
     return residual / scale, _round_up(bound, scale)

@@ -82,15 +82,20 @@ DEEP_PAIRS = [
     pytest.param(
         ("shuffle", "y^300", "y^300", "--method", "recursive"), False, id="shuffle-general-refuses"
     ),
-    # 158 letters, but past cli.ORACLE_MAX_PRINTED printed letters by the
-    # oracle's output bound
-    pytest.param(("identity", "x^70 y x^3 y", "x y^80 x y"), False, id="identity-oracle-letters"),
 ]
+
+
+def run_refused(capsys, *argv):
+    """run_cli on a pair refused before any work, which takes at most 2 s."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    return code, out, err
 
 
 @pytest.mark.parametrize("argv,hint", DEEP_PAIRS)
 def test_too_deep_for_the_oracle_exits_3(capsys, argv, hint):
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_refused(capsys, *argv)
     assert code == 3
     assert out == ""
     assert "too many for the recursive shuffle oracle" in err
@@ -118,30 +123,56 @@ def test_shuffle_does_not_depend_on_the_recursion_limit(capsys):
     assert got == want
 
 
-# pairs past a limit of the enumeration or of the closed form, refused before
-# any work; the message names the estimate
+# pairs past a limit of the enumeration or of the closed form, or with more
+# output than cli.MAX_PRINTED_LETTERS (identity: cli.IDENTITY_MAX_LETTERS)
+# printed letters, refused before any work; the message names the count
 WORK_LIMIT_PAIRS = [
-    pytest.param(("x^40 y", "x^40 y", "--method", "permutation"),
+    pytest.param(("shuffle", "x^40 y", "x^40 y", "--method", "permutation"),
                  "C(82, 41) interleavings", id="permutation-interleavings"),
-    pytest.param(("y^300", "y^300"), "C(600, 300) y-block layouts", id="general-layouts"),
-    pytest.param(("x^1000000 y", "x^1000000 y", "--method", "general"),
-                 "min(C(2000001, 1), C(2000002, 1000001)) words of 2000002 letters",
-                 id="general-letters"),
-    pytest.param(("x^70 y x^3 y", "x y^80 x y", "--method", "recursive"),
-                 "min(C(158, 83), C(158, 75)) words of 158 letters", id="oracle-letters"),
+    pytest.param(("shuffle", "y^300", "y^300"), "C(600, 300) y-block layouts", id="general-layouts"),
+    pytest.param(("shuffle", "x^1000000 y", "x^1000000 y", "--method", "general"),
+                 "more than 14 words of 2000002 letters: too many, a shuffle prints at most "
+                 "30000000 letters", id="general-letters"),
+    pytest.param(("shuffle", "x^1000000 y", "x^1000000 y"),
+                 "more than 14 words of 2000002 letters", id="auto-letters"),
+    # 316,456 words
+    pytest.param(("shuffle", "x^70 y x^3 y", "x y^80 x y", "--method", "recursive"),
+                 "more than 189873 words of 158 letters", id="oracle-letters"),
+    # 5,200,300 words
+    pytest.param(("shuffle", "x^12", "y^13", "--method", "recursive"),
+                 "more than 1200000 words of 25 letters", id="oracle-x12-y13"),
+    # 999,999 interleavings, under the enumeration's limit, and as many words
+    pytest.param(("shuffle", "x^999998", "y", "--method", "permutation"),
+                 "more than 30 words of 999999 letters", id="permutation-letters"),
+    pytest.param(("identity", "x^70 y x^3 y", "x y^80 x y"),
+                 "more than 632 words of 158 letters: too many, identity evaluates at most "
+                 "100000 letters", id="identity-letters"),
+    # 184,756 words
+    pytest.param(("identity", "x^10 y", "x y^10"),
+                 "more than 4545 words of 22 letters", id="identity-work"),
 ]
 
 
-@pytest.mark.parametrize("argv,estimate", WORK_LIMIT_PAIRS)
-def test_past_a_work_limit_exits_3(capsys, argv, estimate):
-    code, out, err = run_cli(capsys, "shuffle", *argv)
+@pytest.mark.parametrize("argv,count", WORK_LIMIT_PAIRS)
+def test_past_a_work_limit_exits_3(capsys, argv, count):
+    code, out, err = run_refused(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert estimate in err
+    assert count in err
+
+
+@pytest.mark.parametrize("tol", [(), ("--tol", "1e40")])
+def test_identity_refuses_a_check_that_cannot_fail(capsys, tol):
+    # 101 words of 193 letters: the proven bound, about 3e22, is far above
+    # zeta(101) zeta(91), about 1, so a product evaluated as 0 would pass
+    code, out, err = run_cli(capsys, "identity", "x^100 y", "x^90 y", *tol)
+    assert code == 3
+    assert out == ""
+    assert "128 fraction bits" in err
 
 
 def test_general_takes_x4000y_xy(capsys):
-    # 1.6e7 letters by the bound, 4,003 words of 4,004 letters; 4,001 are printed
+    # 4,001 words of 4,003 letters: 1.6e7 printed letters, within cli.MAX_PRINTED_LETTERS
     from mzvshuffle.closed_form import expand_general
     from mzvshuffle.lincomb import LinComb
 
@@ -168,42 +199,35 @@ def test_binomial_capped():
 
 
 def test_general_work_estimates():
-    from mzvshuffle.cli import _general_layouts, _general_letters
-    from mzvshuffle.closed_form import _layouts, expand_general
+    # the closed form walks C(r+s, r) y-block layouts, the count its limit caps
+    from mzvshuffle.closed_form import _layouts
 
     for r in range(1, 7):
         for s in range(1, 7):
-            assert _general_layouts(r, s) == len(_layouts(r, s)) + len(_layouts(s, r))
-    forms = [exps for depth in (1, 2, 3) for exps in itertools.product(range(3), repeat=depth)]
-    for a in forms:
-        for b in forms:
-            n, m = sum(a) + len(a), sum(b) + len(b)
-            printed = len(expand_general(a, b)) * (n + m)
-            assert printed <= _general_letters(n, m, len(a) + len(b)), (a, b)
-    # x^k y . xy gives the k + 1 words x^i y x^(k+1-i) y, i >= 1; the bound
-    # also counts the one that starts with y
-    for k in range(1, 40):
-        assert _general_letters(k + 1, 2, 2) == (len(expand_general((k,), (1,))) + 1) * (k + 3)
+            assert math.comb(r + s, r) == len(_layouts(r, s)) + len(_layouts(s, r))
 
 
-def test_oracle_output_estimate():
-    from mzvshuffle.cli import ORACLE_MAX_PRINTED, _oracle_letters
-    from mzvshuffle.shuffle import shuffle_recursive
-    from mzvshuffle.words import Word
+def test_term_count_matches_the_oracle():
+    from mzvshuffle.cli import _term_count
+    from mzvshuffle.shuffle import _shuffle_raw
 
-    words = [Word("".join(w)) for size in range(5) for w in itertools.product("xy", repeat=size)]
-    for u in words:
-        for v in words:
-            n, m = len(u), len(v)
-            printed = len(shuffle_recursive(u, v)) * (n + m)
-            assert printed <= _oracle_letters(n, m, u.y_count + v.y_count), (u, v)
-    # x^k . y gives the k + 1 words x^i y x^(k-i), each once: the bound is exact
-    for k in range(1, 40):
-        words_out = len(shuffle_recursive(Word("x" * k), Word("y")))
-        assert _oracle_letters(k, 1, 1) == words_out * (k + 1)
-    # the largest estimate of a benchmark product pair stays under the budget
-    assert _oracle_letters(13, 13, 13) == math.comb(26, 13) * 26 < ORACLE_MAX_PRINTED
-    assert _oracle_letters(75, 83, 83) > ORACLE_MAX_PRINTED
+    words = [["".join(w) for w in itertools.product("xy", repeat=size)] for size in range(11)]
+    for total in range(11):
+        for size in range(total + 1):
+            for u, v in itertools.product(words[size], words[total - size]):
+                terms = len(_shuffle_raw(u, v))
+                # exact up to its cap, cap + 1 past it
+                assert _term_count(u, v, terms) == _term_count(u, v, terms - 1) == terms, (u, v)
+
+
+@pytest.mark.parametrize("u,v", [("x" * 10**6 + "y",) * 2, ("x" * 10**7, "y")], ids=["xy-xy", "x-y"])
+def test_term_count_stops_past_its_cap(u, v):
+    from mzvshuffle.cli import MAX_PRINTED_LETTERS, _term_count
+
+    cap = MAX_PRINTED_LETTERS // len(u + v)
+    start = time.perf_counter()
+    assert _term_count(u, v, cap) == cap + 1
+    assert time.perf_counter() - start < 0.1
 
 
 def test_shuffle_general_rejects_non_h1(capsys):
@@ -279,6 +303,20 @@ def test_identity_command(capsys):
 def test_identity_inadmissible(capsys):
     code, _, _ = run_cli(capsys, "identity", "y", "xy")
     assert code == 3
+
+
+def test_identity_out_of_memory_exits_3(capsys, monkeypatch):
+    # identity's budget keeps its product small, so no input fills memory
+    # under a test's address-space limit; the handler stays for smaller ones
+    from mzvshuffle import numeric
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(numeric, "identity_residual_with_bound", out_of_memory)
+    code, out, err = run_cli(capsys, "identity", "xy", "xy")
+    assert (code, out) == (3, "")
+    assert "the product of 2 + 2 letters ran out of memory" in err
 
 
 def test_identity_impossible_tolerance(capsys):

@@ -67,14 +67,15 @@ def exit_code(argv: list[str]) -> int:
 @example("y^4000", "y", "recursive", "json", True)
 @example("x^4000", "y", "recursive", "latex", True)
 @example("x^400 y", "x^400 y", "recursive", "plain", True)
-# more than cli.ORACLE_MAX_PRINTED letters by the oracle's output bound,
-@example("x^70 y x^3 y", "x y^80 x y", "recursive", "plain", True)
 # more than cli.PERMUTATION_MAX_INTERLEAVINGS interleavings,
 @example("x^40 y", "x^40 y", "permutation", "plain", True)
 # more than cli.GENERAL_MAX_LAYOUTS y-block layouts for the closed form,
 @example("y^300", "y^300", "general", "json", True)
 @example("y^300", "y^300", "auto", "plain", True)
-# and more than cli.GENERAL_MAX_LETTERS letters by its output bound
+# and, for every method, more than cli.MAX_PRINTED_LETTERS printed letters
+@example("x^70 y x^3 y", "x y^80 x y", "recursive", "plain", True)
+@example("x^12", "y^13", "recursive", "plain", True)
+@example("x^999998", "y", "permutation", "json", True)
 @example("x^1000000 y", "x^1000000 y", "general", "latex", True)
 @example("x^1000000 y", "x^1000000 y", "auto", "plain", True)
 def test_shuffle_exits_with_a_code(u, v, method, fmt, refused):
@@ -87,7 +88,11 @@ def test_shuffle_exits_with_a_code(u, v, method, fmt, refused):
 @settings(max_examples=100, deadline=None)
 @given(word_texts(), word_texts(), st.integers(1, 64), st.just(False))
 @example("x^4000 y", "xy", 64, True)
+# more than cli.IDENTITY_MAX_LETTERS letters in the product,
 @example("x^70 y x^3 y", "x y^80 x y", 64, True)
+@example("x^10 y", "x y^10", 64, True)
+# and a proven bound above zeta(u) zeta(v), where the check cannot fail
+@example("x^100 y", "x^90 y", 64, True)
 def test_identity_exits_with_a_code(u, v, terms, refused):
     code = exit_code(["identity", u, v, "--terms", str(terms)])
     assert code == 3 if refused else code in (0, 1, 2, 3)
@@ -137,16 +142,11 @@ def test_parse_refusals_exit_2(argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["shuffle", "x^12", "y^13", "--method", "recursive"],
-        ["identity", "x y^12", "x^12 y"],
-    ],
-    ids=["shuffle", "identity"],
+    "argv", [["shuffle", "x^11", "y^11", "--method", "recursive"]], ids=["shuffle"]
 )
 def test_out_of_memory_exits_3(argv):
-    # each product passes the oracle's output budget but needs several
-    # hundred MiB, so it runs out of memory about a second into the run
+    # 705,432 words of 22 letters, within cli.MAX_PRINTED_LETTERS, but a few
+    # hundred MiB, so the product runs out of memory under a second into the run
     done = _run_limited(argv, 128 * 2**20)
     assert (done.returncode, done.stdout) == (3, "")
     assert "ran out of memory (address-space limit: 128 MiB)" in done.stderr
