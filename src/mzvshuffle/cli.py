@@ -127,28 +127,29 @@ def _term_count(u: str, v: str, cap: int) -> int:
     up u's run of c at i or v's at j, so the pairs lie on two segments.
     Distinct paths are distinct words, and each pending prefix extends to
     one, so the count stops once they and the finished words pass the cap.
+    A state keeps only the i's of its pairs, since j = depth - i.
     """
     n, m = len(u), len(v)
-    start = (0, "", ((0, 0),))
+    start = (0, "", (0,))
     pending, heap, live = {start: 1}, [start], 1
     while heap:  # in order of letters read, so that equal states merge
-        depth, last, pairs = key = heapq.heappop(heap)
+        depth, last, used = key = heapq.heappop(heap)
         count = pending.pop(key)
         if depth == n + m:
             continue  # a finished word, counted in live
         live -= count
         for c in "xy".replace(last, ""):
-            segments = []  # (lo, hi, i, j, di, dj): pairs (i + di t, j + dj t), lo <= t <= hi
-            for i, j in pairs:
+            segments = []  # (lo, hi, i, di): pairs with i + di t letters of u, lo <= t <= hi
+            for i in used:
+                j = depth - i
                 a, b = _RUN[c].match(u, i).end() - i, _RUN[c].match(v, j).end() - j
-                segments.append((max(a if i + a < n else a + b, 1), a + b, i + a, j - a, 0, 1))
+                segments.append((max(a if i + a < n else a + b, 1), a + b, i + a, 0))
                 if j + b < m:
-                    segments.append((max(b, 1), a + b, i - b, j + b, 1, 0))
+                    segments.append((max(b, 1), a + b, i - b, 1))
             # a segment's values past its first cap + 1 are never reached
             ts = {t for lo, hi, *_ in segments for t in range(lo, min(hi, lo + cap) + 1)}
             for t in sorted(ts):
-                ends = {(i + di * t, j + dj * t)
-                        for lo, hi, i, j, di, dj in segments if lo <= t <= hi}
+                ends = {i + di * t for lo, hi, i, di in segments if lo <= t <= hi}
                 child = (depth + t, c, tuple(sorted(ends)))
                 if child not in pending:
                     heapq.heappush(heap, child)

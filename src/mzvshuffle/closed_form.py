@@ -23,14 +23,11 @@ layout's steps at one exponent tuple.
 
 The concrete low-arity expansions (Euler, 1 x s, and the five small cases)
 are independent transcriptions of their published displays and are tested
-against the brute-force oracles; none of them reads _layouts.  expand_1_s
-and the 1x3, 2x2, 2x3 and 3x3 displays add each printed term as one
-binomial_chains walk (_add_chains): its Kronecker deltas pin a tail, and a
-lower index that subtracts later alphas becomes a prefix step by
-binom(n, k) = binom(n, n - k) (docs/FORMULA_NOTES.md), so they too do work
-in proportion to their nonzero terms.  Euler's display and the 1x2 display
-are still evaluated at every weak composition of the x-degree: on the small
-totals they run at, that costs less than the walks' fixed cost.
+against the brute-force oracles; none of them reads _layouts.  Each adds
+every printed term as one binomial_chains walk (_add_chains): its Kronecker
+deltas pin a tail, and a lower index that subtracts later alphas becomes a
+prefix step by binom(n, k) = binom(n, n - k) (docs/FORMULA_NOTES.md), so
+they too do work in proportion to their nonzero terms.
 """
 
 from __future__ import annotations
@@ -39,23 +36,9 @@ import math
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .combinat import (
-    binom,
-    binomial_chains,
-    composition_list,
-    prefix_sums,
-    weak_composition_list,
-)
+from .combinat import binom, binomial_chains, composition_list, prefix_sums
 from .lincomb import LinComb
-
-
-def _check_exponents(exps: tuple[int, ...], name: str) -> None:
-    if len(exps) < 1:
-        raise ValueError(f"{name} needs at least one exponent")
-    if not all(isinstance(e, int) for e in exps):
-        raise TypeError(f"{name} exponents must be ints, got {exps}")
-    if any(e < 0 for e in exps):
-        raise ValueError(f"{name} exponents must be nonnegative, got {exps}")
+from .words import _check_exponents
 
 
 def beta_sequence(
@@ -219,13 +202,21 @@ def _add_chains(
         out[key] = out.get(key, 0) + coeff
 
 
+# The small displays, one _add_chains walk per printed term (a sum of two
+# binomials is two walks, a Kronecker delta a pinned tail entry).
+# (c, False) is binom(alpha_i, c) and (c, True) is binom(alpha_i, c -
+# alpha_1 - ... - alpha_{i-1}); a lower index that subtracts later alphas,
+# binom(alpha_k, c - alpha_{k+1} - ... - alpha_m) with alpha_m the last part
+# the walk sets, is binom(alpha_k, (R - c) - alpha_1 - ... - alpha_{k-1}) for
+# R the x-degree left after the pinned tail (docs/FORMULA_NOTES.md).
+
+
 def expand_euler(a: int, b: int) -> LinComb:
     """Depth-1 by depth-1 product: the classical two-zeta decomposition."""
     _check_exponents((a, b), "expand_euler")
-    out = {}
-    for a1 in range(a + b + 1):
-        coeff = binom(a1, a) + binom(a1, b)
-        out[(a1, a + b - a1)] = coeff
+    out: dict[tuple[int, ...], int] = {}
+    _add_chains(out, ((a, False),), a + b)
+    _add_chains(out, ((b, False),), a + b)
     return LinComb.from_exponents(out)
 
 
@@ -248,28 +239,13 @@ def expand_1_s(a: int, b: Iterable[int]) -> LinComb:
     return LinComb.from_exponents(out)
 
 
-# The small displays from 1x3 on, one _add_chains walk per printed term (a
-# sum of two binomials is two walks, a Kronecker delta a pinned tail entry,
-# as in expand_1_s).  (c, False) is binom(alpha_i, c) and
-# (c, True) is binom(alpha_i, c - alpha_1 - ... - alpha_{i-1}); a lower
-# index that subtracts later alphas, binom(alpha_k, c - alpha_{k+1} - ...
-# - alpha_m) with alpha_m the last part the walk sets, is binom(alpha_k,
-# (R - c) - alpha_1 - ... - alpha_{k-1}) for R the x-degree left after the
-# pinned tail (docs/FORMULA_NOTES.md).
-
-
 def expand_1_2(a: int, b1: int, b2: int) -> LinComb:
-    # Enumerated, not walked: on its small totals three walks cost more than
-    # evaluating the display at each weak composition (docs/FORMULA_NOTES.md).
     _check_exponents((a, b1, b2), "expand_1_2")
-    out = {}
-    for al in weak_composition_list(a + b1 + b2, 3):
-        coeff = (
-            (binom(al[0], a) if al[2] == b2 else 0)
-            + binom(al[0], b1) * binom(al[1], b2)
-            + binom(al[0], b1) * binom(al[1], b2 - al[2])
-        )
-        out[al] = coeff
+    t = a + b1 + b2
+    out: dict[tuple[int, ...], int] = {}
+    _add_chains(out, ((a, False),), t, (b2,))
+    _add_chains(out, ((b1, False), (b2, False)), t)
+    _add_chains(out, ((b1, False), (t - b2, True)), t)
     return LinComb.from_exponents(out)
 
 

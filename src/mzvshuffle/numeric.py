@@ -163,8 +163,12 @@ def _zeta_fixed(word: str) -> tuple[int, int]:
     suffixes = _suffix_values(word)
     dual_suffixes = _suffix_values(word[::-1].translate(_DUAL))
     mantissa = sum(map(mul, reversed(dual_suffixes), suffixes))
-    size = len(word)
-    return mantissa, (size * size + 5 * size) << FRAC_BITS
+    return mantissa, _word_err(len(word))
+
+
+def _word_err(size: int) -> int:
+    """The error bound of the mantissa of zeta of a word of `size` letters."""
+    return (size * size + 5 * size) << FRAC_BITS
 
 
 def _round_up(num: int, den: int) -> float:
@@ -230,18 +234,23 @@ def identity_residual_with_bound(u, v, terms: int = DEFAULT_TERMS) -> tuple[floa
     terms = _check_terms(terms)
     left_u, err_u = _zeta_fixed(u.text)
     left_v, err_v = _zeta_fixed(v.text)
+    scale = 1 << (2 * SCALE_BITS)
+
+    def bound(product_err: int) -> int:
+        # |x y - U V| <= |x| |y - V| + |V| |x - U|, plus the product's error
+        out = (abs(left_u) + err_u) * err_v + abs(left_v) * err_u + (product_err << SCALE_BITS)
+        if out >= left_u * left_v:
+            raise ValueError(
+                f"at the fixed {FRAC_BITS} fraction bits, the proven error bound "
+                f"{_round_up(out, scale):.6g} is not below zeta(u) zeta(v) = "
+                f"{left_u * left_v / scale:.6g}, so the check could not tell the product from 0")
+        return out
+
+    # A correct product's coefficients are positive and sum to C(n+m, n), and
+    # its words have n+m letters, so its error is known before the shuffle;
+    # the check is made again on the actual product, against a wrong one.
+    size = len(u) + len(v)
+    bound(math.comb(size, len(u)) * _word_err(size))
     right = zeta_of_lincomb(shuffle_recursive(u, v), terms)
     residual = abs(left_u * left_v - (right.mantissa << SCALE_BITS))
-    # |x y - U V| <= |x| |y - V| + |V| |x - U|
-    bound = (
-        (abs(left_u) + err_u) * err_v
-        + abs(left_v) * err_u
-        + (right.mantissa_err << SCALE_BITS)
-    )
-    scale = 1 << (2 * SCALE_BITS)
-    if bound >= left_u * left_v:
-        raise ValueError(
-            f"at the fixed {FRAC_BITS} fraction bits, the proven error bound "
-            f"{_round_up(bound, scale):.6g} is not below zeta(u) zeta(v) = "
-            f"{left_u * left_v / scale:.6g}, so the check could not tell the product from 0")
-    return residual / scale, _round_up(bound, scale)
+    return residual / scale, _round_up(bound(right.mantissa_err), scale)

@@ -112,6 +112,17 @@ def _run_tails(total: int, runs: int, s: int) -> list:
     return _lead(total, 0, runs + 1, s - 1, suffix)
 
 
+def _half(total: int, low: int, r: int, s: int, pad: int) -> list:
+    """The words of x^low y^r . x^(total - low) y^s whose first y comes from
+    y^r, as (exps, coeff): a word with l leading y's from y^r is a window of
+    l + 1 parts of `total`, its first part carrying binom(part, low), weighted
+    binom(r + s - l - 1, r - l), the l loop summed at once; `pad` zeros
+    follow the window of r + 1 parts (docs/FORMULA_NOTES.md, "The 1x1
+    half")."""
+    suffix = suffix_sums([0, 0] + [comb(r + s - l - 1, r - l) for l in range(1, r + 1)])
+    return _lead(total, low, r + 1, pad, suffix)
+
+
 def _join(heads: list, tails: list) -> list:
     return [(h + t, c * d) for h, c in heads for t, d in tails]
 
@@ -137,10 +148,7 @@ def expand_res_1_1(a: int, r: int, b: int, s: int) -> LinComb:
 
 
 def _res_1_1_half(a, r, b, s, out):
-    # l leading y's come from the r-run: a window of l + 1 parts, then
-    # r + s - l - 1 zeros, the l loop summed at once
-    suffix = suffix_sums([0, 0] + [comb(r + s - l - 1, r - l) for l in range(1, r + 1)])
-    _emit(out, _lead(a + b, a, r + 1, s - 1, suffix))
+    _emit(out, _half(a + b, a, r, s, s - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +183,21 @@ def _res12_case_ii(a, r, b1, s1, b2, s2, out):
 
 def _res12_case_iii(a, r, b1, s1, b2, s2, out):
     # window r1 + s1 + 1, then r2 + s2 - 1 zeros, the r1 loop summed at once;
-    # cut at its pinned part s1, after p = alpha_1 + ... + alpha_{s1}
-    suffix = suffix_sums([0, 0] + [comb(r - r1 + s2 - 1, r - r1) for r1 in range(1, r + 1)])
+    # cut at its pinned part s1, after p = alpha_1 + ... + alpha_{s1}, the
+    # rest the half of x^{a+b1-p} y^r . x^{b2} y^{s2}
     flat = [1] * (s1 + 1)
     for p in range(b1, a + b1 + 1):
-        tails = _lead(a + b1 + b2 - p, a + b1 - p, r + 1, s2 - 1, suffix)
+        tails = _half(a + b1 + b2 - p, a + b1 - p, r, s2, s2 - 1)
         _emit(out, _lead(p, b1, s1, 0, flat), tails)
 
 
 def _res12_case_iv(a, r, b1, s1, b2, s2, out):
     # window s1 + l + 1, then r + s2 - l - 1 zeros, the l loop summed at once;
-    # cut at its pinned part s1, after p = alpha_1 + ... + alpha_{s1}
-    suffix = suffix_sums([0, 0] + [comb(r + s2 - l - 1, r - 1) for l in range(1, s2 + 1)])
+    # cut at its pinned part s1, after p = alpha_1 + ... + alpha_{s1}, the
+    # rest the half of x^{b2} y^{s2} . x^{a+b1-p} y^r
     flat = [1] * (s1 + 1)
     for p in range(b1, a + b1 + 1):
-        tails = _lead(a + b1 + b2 - p, b2, s2 + 1, r - 1, suffix)
+        tails = _half(a + b1 + b2 - p, b2, s2, r, r - 1)
         _emit(out, _lead(p, b1, s1, 0, flat), tails)
 
 
@@ -256,34 +264,26 @@ def _res22_case_ii(a1, r1, a2, r2, b1, s1, b2, s2, out):
 def _res22_case_iii(a1, r1, a2, r2, b1, s1, b2, s2, out):
     # window r1 + l1 + s1 + 1, then l2 + s2 - 1 zeros, the l1 loop summed at
     # once; cut at its pinned parts r1 and r1 + s1, after
-    # p = alpha_1 + ... + alpha_{r1} and q = p + ... + alpha_{r1+s1}
-    suffix = suffix_sums([0, 0] + [comb(r2 - l1 + s2 - 1, r2 - l1) for l1 in range(1, r2 + 1)])
+    # p = alpha_1 + ... + alpha_{r1} and q = p + ... + alpha_{r1+s1}, the
+    # rest the half of x^{a1+a2+b1-q} y^{r2} . x^{b2} y^{s2}
     firsts = _firsts(a1, b1, r1)
     flat = [1] * (s1 + 1)
     for q in range(a1 + b1, a1 + a2 + b1 + 1):
-        tails = _lead(a1 + a2 + b1 + b2 - q, a1 + a2 + b1 - q, r2 + 1, s2 - 1, suffix)
+        tails = _half(a1 + a2 + b1 + b2 - q, a1 + a2 + b1 - q, r2, s2, s2 - 1)
         for p in range(a1, a1 + b1 + 1):
             _emit(out, _join(firsts[p], _lead(q - p, a1 + b1 - p, s1, 0, flat)), tails)
 
 
 def _res22_case_iv(a1, r1, a2, r2, b1, s1, b2, s2, out):
     # window r1 + s1 + k + 1, then r2 + s2 - k - 1 zeros, the k loop summed
-    # at once; cut as in case (iii)
-    suffix = suffix_sums([0, 0] + [comb(r2 + s2 - k - 1, r2 - 1) for k in range(1, s2 + 1)])
+    # at once; cut as in case (iii), the rest the half of x^{b2} y^{s2} .
+    # x^{a1+a2+b1-q} y^{r2}
     firsts = _firsts(a1, b1, r1)
     flat = [1] * (s1 + 1)
     for q in range(a1 + b1, a1 + a2 + b1 + 1):
-        tails = _lead(a1 + a2 + b1 + b2 - q, b2, s2 + 1, r2 - 1, suffix)
+        tails = _half(a1 + a2 + b1 + b2 - q, b2, s2, r2, r2 - 1)
         for p in range(a1, a1 + b1 + 1):
             _emit(out, _join(firsts[p], _lead(q - p, a1 + b1 - p, s1, 0, flat)), tails)
-
-
-def _lead_heads(a1: int, b1: int, r1: int, k: int) -> list:
-    """Cases v-vii: a window of l + 1 parts of a1 + b1 (l = 1 .. r1 - 1), its
-    first part carrying binom(part, a1), then k + r1 - l - 1 zeros, weighted
-    binom(k + r1 - l - 2, k - 1), the l loop summed at once."""
-    suffix = suffix_sums([0, 0] + [comb(k + r1 - l - 2, k - 1) for l in range(1, r1)])
-    return _lead(a1 + b1, a1, r1, k, suffix)
 
 
 def _res22_case_v(a1, r1, a2, r2, b1, s1, b2, s2, out):
@@ -296,7 +296,7 @@ def _res22_case_v(a1, r1, a2, r2, b1, s1, b2, s2, out):
         return
     thirds = [None] + [_run_tails(b2, r2 - l1, s2) for l1 in range(1, r2 + 1)]
     for k1 in range(1, s1):
-        heads = _lead_heads(a1, b1, r1, k1)
+        heads = _half(a1 + b1, a1, r1 - 1, k1, k1)
         m = s1 - k1  # k2 + k3
         for l1 in range(1, r2 + 1):
             suffix = suffix_sums([0] + [comb(m - k2 + l1 - 2, l1 - 1) for k2 in range(m)])
@@ -310,10 +310,9 @@ def _res22_case_vi(a1, r1, a2, r2, b1, s1, b2, s2, out):
     # the parts before it
     if r1 < 2 or s1 < 2:
         return
-    suffix = suffix_sums([0, 0] + [comb(r2 + s2 - l2 - 1, s2 - 1) for l2 in range(1, r2 + 1)])
-    tails = [_lead(a2 + b2 - p, a2 - p, r2 + 1, s2 - 1, suffix) for p in range(a2 + 1)]
+    tails = [_half(a2 + b2 - p, a2 - p, r2, s2, s2 - 1) for p in range(a2 + 1)]
     for k in range(1, s1):
-        heads = _lead_heads(a1, b1, r1, k)
+        heads = _half(a1 + b1, a1, r1 - 1, k, k)
         flat = [1] * (s1 - k + 1)
         for p in range(a2 + 1):
             _emit(out, _join(heads, _lead(p, 0, s1 - k, 0, flat)), tails[p])
@@ -325,10 +324,9 @@ def _res22_case_vii(a1, r1, a2, r2, b1, s1, b2, s2, out):
     # second window is cut at its part s1 - k1, after p, as in case (vi)
     if r1 < 2 or s1 < 2:
         return
-    suffix = suffix_sums([0, 0] + [comb(r2 + s2 - k2 - 1, r2 - 1) for k2 in range(1, s2 + 1)])
-    tails = [_lead(a2 + b2 - p, b2, s2 + 1, r2 - 1, suffix) for p in range(a2 + 1)]
+    tails = [_half(a2 + b2 - p, b2, s2, r2, r2 - 1) for p in range(a2 + 1)]
     for k1 in range(1, s1):
-        heads = _lead_heads(a1, b1, r1, k1)
+        heads = _half(a1 + b1, a1, r1 - 1, k1, k1)
         flat = [1] * (s1 - k1 + 1)
         for p in range(a2 + 1):
             _emit(out, _join(heads, _lead(p, 0, s1 - k1, 0, flat)), tails[p])
@@ -353,8 +351,7 @@ def _res22_case_ix(a1, r1, a2, r2, b1, s1, b2, s2, out):
     # second window is cut at its pinned part l3 + 1, after p
     if r1 < 2:
         return
-    suffix = suffix_sums([0, 0] + [comb(r2 + s2 - k - 1, r2 - 1) for k in range(1, s2 + 1)])
-    ends = [_lead(a2 + b2 - p, b2 - p, s2 + 1, r2 - 1, suffix) for p in range(b2 + 1)]
+    ends = [_half(a2 + b2 - p, b2 - p, s2, r2, r2 - 1) for p in range(b2 + 1)]
     for t in range(1, r1):
         mix = r1 - t  # l3
         flat = [1] * (mix + 1)

@@ -260,15 +260,21 @@ def to_exponent_form(word: Word) -> tuple[int, ...]:
     return tuple(len(seg) for seg in segments[:-1])
 
 
+def _check_exponents(exps: tuple[int, ...], name: str) -> None:
+    """Raise unless `exps`, the exponent form given to `name`, is a nonempty
+    tuple of nonnegative ints."""
+    if not exps:
+        raise ValueError(f"{name} needs at least one exponent")
+    if not all(isinstance(e, int) for e in exps):
+        raise TypeError(f"{name} exponents must be ints, got {exps}")
+    if any(e < 0 for e in exps):
+        raise ValueError(f"{name} exponents must be nonnegative, got {exps}")
+
+
 def from_exponent_form(exps: Iterable[int]) -> Word:
     """Inverse of to_exponent_form."""
     exps = tuple(exps)
-    if not exps:
-        raise ValueError("exponent form needs at least one entry")
-    if not all(isinstance(a, int) for a in exps):
-        raise TypeError(f"exponents must be ints, got {exps}")
-    if any(a < 0 for a in exps):
-        raise ValueError(f"exponents must be nonnegative, got {exps}")
+    _check_exponents(exps, "from_exponent_form")
     return Word(_exponent_text(exps))
 
 

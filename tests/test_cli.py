@@ -164,8 +164,12 @@ def test_past_a_work_limit_exits_3(capsys, argv, count):
 @pytest.mark.parametrize("tol", [(), ("--tol", "1e40")])
 def test_identity_refuses_a_check_that_cannot_fail(capsys, tol):
     # 101 words of 193 letters: the proven bound, about 3e22, is far above
-    # zeta(101) zeta(91), about 1, so a product evaluated as 0 would pass
+    # zeta(101) zeta(91), about 1, so a product evaluated as 0 would pass;
+    # the bound is known from the two words, so the refusal comes before the
+    # shuffle (which alone takes 0.2-0.5 s)
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "identity", "x^100 y", "x^90 y", *tol)
+    assert time.perf_counter() - start < 0.1
     assert code == 3
     assert out == ""
     assert "128 fraction bits" in err

@@ -7,6 +7,7 @@ from mzvshuffle.combinat import binom
 from mzvshuffle.lincomb import LinComb
 from mzvshuffle.restricted import (
     MAX_NFOLD,
+    _half,
     _x_table,
     expand_nfold,
     expand_nfold_depth1,
@@ -17,7 +18,7 @@ from mzvshuffle.restricted import (
     res_2_2_case,
 )
 from mzvshuffle.shuffle import shuffle_nfold, shuffle_recursive
-from mzvshuffle.verify import pattern_cases_1_2, pattern_cases_2_2
+from mzvshuffle.verify import _pattern_buckets, pattern_cases_1_2, pattern_cases_2_2, run_tuples
 from mzvshuffle.words import Word
 
 
@@ -55,6 +56,20 @@ def test_res_1_1_oracle_grid():
                         assert expand_res_1_1(a, r, b, s) == shuffle_recursive(
                             run_word(a, r), run_word(b, s)
                         )
+
+
+def test_half_is_the_interleavings_led_by_the_first_run():
+    # the one window the restricted cases share, checked on its own: the
+    # words of x^a y^r . x^b y^s whose first y comes from y^r
+    def label(ypos_u, ypos_v):
+        return "half" if ypos_u[0] < ypos_v[0] else "other"
+
+    points = list(run_tuples(9, 2))
+    assert len(points) == 330
+    for a, r, b, s in points:
+        buckets = _pattern_buckets("x" * a + "y" * r, "x" * b + "y" * s, label)
+        got = LinComb.from_exponents(dict(_half(a + b, a, r, s, s - 1)))
+        assert got == buckets.get("half", LinComb()), (a, r, b, s)
 
 
 def test_res_1_1_argument_swap():
