@@ -34,8 +34,10 @@ EXIT_DOMAIN = 3
 # Limits tested by _refusal before any work, for words of n and m letters
 # with r and s y's.  Three bound a method's work: the oracle's letters, the
 # enumeration's C(n+m, n) interleavings, the closed form's C(r+s, r) y-block
-# layouts.  One bounds every method's output, words times n+m letters, at 18
-# bytes a letter at most (tracemalloc); identity evaluates one in 20-35 us.
+# layouts (its one walk never holds more nodes than the layouts walked one by
+# one, docs/FORMULA_NOTES.md).  One bounds every method's output, words times
+# n+m letters, at 18 bytes a letter at most (tracemalloc); identity
+# evaluates one in 20-35 us.
 ORACLE_MAX_LETTERS = 500
 PERMUTATION_MAX_INTERLEAVINGS = 10**6
 GENERAL_MAX_LAYOUTS = 10**5

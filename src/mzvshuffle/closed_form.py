@@ -7,38 +7,56 @@ contributes a product of binomials binom(alpha_i, beta_i) whose beta values
 are fixed by the block structure, with Kronecker deltas pinning the trailing
 positions.
 
-The interleavings depend only on the depth pair (r, s), so their block
-layouts are built once per pair, on first use, and cached.  Within a
-layout, beta_i is either an exponent of a factor (inside a block) or a
-constant minus alpha_1 + ... + alpha_{i-1} (at a block start).  The walk
-goes left to right and gives each alpha_i only the values with
-binom(alpha_i, beta_i) != 0; the Kronecker deltas fix the trailing
-positions and the one free position takes the x-degree that is left.
-Every contribution is a positive product, so the work scales with the
-number of nonzero terms of the formula instead of with all weak
-compositions of the x-degree.  One recipe, _beta_steps, gives the steps
-of a block shape; beta_sequence evaluates them at concrete exponents,
-_layouts cuts them at each layout's bound, and coeff_general evaluates each
-layout's steps at one exponent tuple.
+One step rule, _step, gives beta_p from the y-block state (i, j, side): i
+y's of a and j of b placed, the last from `side`.  A y that continues its
+block has its own exponent as beta, one that starts a block a constant less
+alpha_1 + ... + alpha_{p-1}; each interleaving is one path of _step from
+(0, 0, 1).  expand_general walks all paths at once, level by level, and sums
+the paths that reach the same state with the same alpha prefix, since they
+share their future.  Each alpha_i takes only the values with
+binom(alpha_i, beta_i) != 0 from which the walk can still finish (a cap per
+state), the Kronecker deltas fix the final block's trailing positions and
+its first position takes the x-degree that is left.  Every contribution is a
+positive product, so the work scales with the number of nonzero terms of the
+formula instead of with all weak compositions of the x-degree.
+beta_sequence reads _step too, and coeff_general evaluates the display
+itself, one block shape at a time, as an uncached reference for the walk.
 
 The concrete low-arity expansions (Euler, 1 x s, and the five small cases)
 are independent transcriptions of their published displays and are tested
-against the brute-force oracles; none of them reads _layouts.  Each adds
-every printed term as one binomial_chains walk (_add_chains): its Kronecker
-deltas pin a tail, and a lower index that subtracts later alphas becomes a
-prefix step by binom(n, k) = binom(n, n - k) (docs/FORMULA_NOTES.md), so
-they too do work in proportion to their nonzero terms.
+against the brute-force oracles; none of them reads _step.  Each adds every
+printed term as one binomial_chains walk (_add_chains): its Kronecker deltas
+pin a tail, and a lower index that subtracts later alphas becomes a prefix
+step by binom(n, k) = binom(n, n - k) (docs/FORMULA_NOTES.md), so they too
+do work in proportion to their nonzero terms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .combinat import binom, binomial_chains, composition_list, prefix_sums
 from .lincomb import LinComb
 from .words import _check_exponents
+
+
+def _step(state: tuple[int, int, int], side: int, a, b, pa, pb) -> tuple[tuple, tuple[int, bool]]:
+    """Place the next y of a (side 0) or of b (side 1) at state (i, j, last).
+
+    Returns the new state and the y's binomial step as
+    combinat.binomial_chains reads it: (its exponent, False) when the y
+    continues its block, (pa[i'] + pb[j'], True) for beta = pa[i'] + pb[j']
+    - alpha_1 - ... - alpha_{i'+j'-1} when it starts one, with (i', j') the
+    new counts and pa, pb the prefix sums of a, b.  At the start (0, 0, 1)
+    either factor's first y reads its first exponent.
+    """
+    i, j, last = state
+    i, j = (i, j + 1) if side else (i + 1, j)
+    if side == last:
+        return (i, j, side), ((b[j - 1] if side else a[i - 1]), False)
+    return (i, j, side), (pa[i] + pb[j], True)
 
 
 def beta_sequence(
@@ -64,36 +82,13 @@ def beta_sequence(
         raise ValueError("compositions must sum to the factor depths")
     if len(alphas) != len(a) + len(b):
         raise ValueError("alphas must have one entry per output position")
-    return _betas(_beta_steps(lcomp, ncomp), _constants(a, b), prefix_sums(alphas))
-
-
-def _beta_steps(lcomp: tuple[int, ...], ncomp: tuple[int, ...]) -> list[tuple[int, bool]]:
-    """The beta recipe of the block shape (lcomp, ncomp), with the exponents
-    left symbolic: one (k, prefix) step per position, read by _betas."""
-    r, s = sum(lcomp), sum(ncomp)
-
-    def start(x: int, y: int) -> tuple[int, bool]:
-        return (r + s + x * (s + 1) + y, True)
-
-    steps: list[tuple[int, bool]] = []
-    ai = bi = 0
-    for j, lpart in enumerate(lcomp):
-        steps.append(start(ai + 1, bi))
-        steps.extend((ai + t - 1, False) for t in range(2, lpart + 1))
-        ai += lpart
-        if j < len(ncomp):
-            steps.append(start(ai, bi + 1))
-            steps.extend((r + bi + t - 1, False) for t in range(2, ncomp[j] + 1))
-            bi += ncomp[j]
-    return steps
-
-
-def _betas(
-    steps: Iterable[tuple[int, bool]], table: list[int], pal: tuple[int, ...]
-) -> tuple[int, ...]:
-    """beta_i = table[k], less alpha_1 + ... + alpha_{i-1} (pal[i]) at a
-    prefix step, for table = _constants(a, b)."""
-    return tuple(table[k] - pal[i] if prefix else table[k] for i, (k, prefix) in enumerate(steps))
+    pa, pb, pal = prefix_sums(a), prefix_sums(b), prefix_sums(alphas)
+    state, betas = (0, 0, 1), []
+    for lpart, npart in itertools.zip_longest(lcomp, ncomp, fillvalue=0):
+        for side in [0] * lpart + [1] * npart:
+            state, (c, prefix) = _step(state, side, a, b, pa, pb)
+            betas.append(c - pal[len(betas)] if prefix else c)
+    return tuple(betas)
 
 
 def gamma_sequence(lcomp, ncomp, alphas, a, b) -> tuple[int, ...]:
@@ -105,57 +100,13 @@ def gamma_sequence(lcomp, ncomp, alphas, a, b) -> tuple[int, ...]:
     return beta_sequence(ncomp, lcomp, alphas, b, a)
 
 
-class _Layout(NamedTuple):
-    """One y-block interleaving, reduced to what its chain needs.
-
-    Positions 1..bound carry binom(alpha_i, beta_i); position bound+1 is
-    free; the positions after it are pinned by Kronecker deltas.  Indices
-    refer to the table that _constants builds for the exponents.
-    """
-
-    bound: int
-    steps: tuple[tuple[int, bool], ...]  # (table index of beta's constant, prefix)
-    tail: tuple[int, ...]  # table indices of the pinned alpha values
-
-
-def _constants(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """a + b, then pa[x] + pb[y] at index r + s + x * (s + 1) + y."""
-    pa, pb = prefix_sums(a), prefix_sums(b)
-    return [*a, *b, *(x + y for x in pa for y in pb)]
-
-
-@lru_cache(maxsize=None)
-def _layouts(r: int, s: int) -> tuple[_Layout, ...]:
-    """Layouts of the interleavings of depths r and s that start with an a-block.
-
-    Two shapes: ending with an a-block (one extra a-part) or with a b-block
-    (equally many parts).  Depth pair (s, r) with the factors swapped gives
-    the gamma-side layouts, those starting with a b-block.
-    """
-
-    def layout(lc, nc, bound, tail):
-        return _Layout(bound, tuple(_beta_steps(lc, nc)[:bound]), tuple(tail))
-
-    out = []
-    # shape ending in an a-block: l has p+1 parts, n has p parts
-    for p in range(1, min(r - 1, s) + 1):
-        for head in range(p, r):  # L_p; the final a-block keeps r - head >= 1
-            for lc_head in composition_list(head, p):
-                for nc in composition_list(s, p):
-                    out.append(layout(lc_head + (r - head,), nc, head + s, range(head + 1, r)))
-    # shape ending in a b-block: l and n both have p parts
-    for p in range(1, min(r, s) + 1):
-        for head in range(p - 1, s):  # N_{p-1}; the final b-block keeps s - head >= 1
-            for nc_head in composition_list(head, p - 1):
-                for lc in composition_list(r, p):
-                    out.append(
-                        layout(lc, nc_head + (s - head,), r + head, range(r + head + 1, r + s))
-                    )
-    return tuple(out)
-
-
 def coeff_general(alphas: Iterable[int], a: Iterable[int], b: Iterable[int]) -> int:
-    """Coefficient of x^{alpha_1} y ... x^{alpha_{r+s}} y in the product."""
+    """Coefficient of x^{alpha_1} y ... x^{alpha_{r+s}} y in the product.
+
+    The display summed over every block shape: binom(alpha_i, beta_i) up to
+    the final block, whose first position is free and whose other positions
+    carry the Kronecker deltas delta(alpha_i, beta_i).
+    """
     alphas, a, b = tuple(alphas), tuple(a), tuple(b)
     _check_exponents(a, "a")
     _check_exponents(b, "b")
@@ -165,29 +116,76 @@ def coeff_general(alphas: Iterable[int], a: Iterable[int], b: Iterable[int]) -> 
         raise ValueError(f"alpha entries must be nonnegative, got {alphas}")
     if sum(alphas) != sum(a) + sum(b):
         raise ValueError("alphas must sum to the total x-degree")
-    pal = prefix_sums(alphas)
     total = 0
     for first, second in ((a, b), (b, a)):
-        table = _constants(first, second)
-        for lay in _layouts(len(first), len(second)):
-            if alphas[lay.bound + 1 :] == tuple(table[k] for k in lay.tail):
-                total += math.prod(map(binom, alphas, _betas(lay.steps, table, pal)))
+        for p in range(1, len(first) + 1):
+            for lc in composition_list(len(first), p):
+                # the shape ends with a first-side block (p - 1 second-side
+                # blocks) or with a second-side block (p of them)
+                for q in (p - 1, p):
+                    for nc in composition_list(len(second), q):
+                        betas = beta_sequence(lc, nc, alphas, first, second)
+                        free = len(alphas) - (nc[-1] if q == p else lc[-1])
+                        if alphas[free + 1 :] == betas[free + 1 :]:
+                            total += math.prod(map(binom, alphas[:free], betas))
     return total
 
 
 def expand_general(a: Iterable[int], b: Iterable[int]) -> LinComb:
-    """Shuffle of x^{a_1}y...x^{a_r}y with x^{b_1}y...x^{b_s}y, closed form."""
+    """Shuffle of x^{a_1}y...x^{a_r}y with x^{b_1}y...x^{b_s}y, closed form.
+
+    One walk over the paths of _step from (0, 0, 1), with the paths that
+    reach the same state with the same alpha prefix summed into one node
+    (docs/FORMULA_NOTES.md, "The general formula as one walk").
+    """
     a, b = tuple(a), tuple(b)
     _check_exponents(a, "a")
     _check_exponents(b, "b")
-    total = sum(a) + sum(b)
+    r, s = len(a), len(b)
+    pa, pb = prefix_sums(a), prefix_sums(b)
+    # cap[state]: the largest x-degree placed before the state from which the
+    # walk can still finish, worked out from the later states first.  Once
+    # the side of the last y is used up, the other side's y's form the final
+    # block: its first position takes the x's left and the rest are pinned
+    # to their exponents (tails[state]).
+    cap, tails = {}, {}
+    for i in range(r, -1, -1):
+        for j in range(s, -1, -1):
+            if i < r and j < s:
+                for last in (0, 1):
+                    bounds = [-1]
+                    for side in (0, 1):
+                        new, (c, prefix) = _step((i, j, last), side, a, b, pa, pb)
+                        # beta >= 0 needs the prefix sum at most c, and alpha
+                        # >= beta lifts the next one to at least c
+                        bounds.append((c if c <= cap[new] else -1) if prefix else cap[new] - c)
+                    cap[i, j, last] = max(bounds)
+            elif i < r:
+                tails[i, s, 1] = a[i + 1 :]
+                cap[i, s, 1] = pa[i + 1] + pb[s]
+            elif j < s:
+                tails[r, j, 0] = b[j + 1 :]
+                cap[r, j, 0] = pa[r] + pb[j + 1]
+    comb = math.comb
     out: dict[tuple[int, ...], int] = {}
-    for first, second in ((a, b), (b, a)):
-        table = _constants(first, second)
-        for lay in _layouts(len(first), len(second)):
-            tail = tuple(table[k] for k in lay.tail)
-            steps = tuple((table[k], prefix) for k, prefix in lay.steps)
-            _add_chains(out, steps, total, tail)
+    level: dict[tuple, dict[tuple[int, ...], int]] = {(0, 0, 1): {(): 1}}
+    while level:
+        nxt: dict[tuple, dict[tuple[int, ...], int]] = {}
+        for state, paths in level.items():
+            for side in (0, 1):
+                new, (c, prefix) = _step(state, side, a, b, pa, pb)
+                top, tail = cap[new], tails.get(new)
+                dest = nxt.setdefault(new, {}) if tail is None else out
+                for w, coeff in paths.items():
+                    used = sum(w)
+                    beta = c - used if prefix else c
+                    if beta < 0:
+                        continue
+                    # alpha runs from beta up to what the cap of `new` leaves
+                    for x in range(beta, top - used + 1):
+                        key = w + (x,) if tail is None else w + (x, top - used - x) + tail
+                        dest[key] = dest.get(key, 0) + (coeff * comb(x, beta) if beta else coeff)
+        level = nxt
     return LinComb.from_exponents(out)
 
 

@@ -203,12 +203,37 @@ def test_binomial_capped():
 
 
 def test_general_work_estimates():
-    # the closed form walks C(r+s, r) y-block layouts, the count its limit caps
-    from mzvshuffle.closed_form import _layouts
+    # the closed form's limit counts C(r+s, r) y-block layouts: each is one
+    # path of closed_form._step from (0, 0, 1) until the side of its last y
+    # is used up, after which the other side's y's form the final block
+    from mzvshuffle.cli import _binomial_capped
+    from mzvshuffle.closed_form import _step
 
     for r in range(1, 7):
         for s in range(1, 7):
-            assert math.comb(r + s, r) == len(_layouts(r, s)) + len(_layouts(s, r))
+            zeros = ((0,) * r, (0,) * s, (0,) * (r + 1), (0,) * (s + 1))
+            ends, states = 0, [(0, 0, 1)]
+            while states:
+                state = states.pop()
+                for side, depth in enumerate((r, s)):
+                    if state[side] < depth:
+                        new, _ = _step(state, side, *zeros)
+                        if new[side] == depth:
+                            ends += 1
+                        else:
+                            states.append(new)
+            assert ends == math.comb(r + s, r) == _binomial_capped(r + s, r, 10**3)
+
+
+# y-only pairs near the closed form's limit, 99,681 and 92,378 layouts with
+# one output word: the walk sums the layouts through each y-block state
+@pytest.mark.parametrize("u,v,want", [("y^2", "y^445", "99681*y^447"), ("y^9", "y^10", "92378*y^19")])
+def test_general_sums_the_layouts_it_shares(capsys, u, v, want):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "shuffle", u, v, "--method", "general")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == want + "\n"
 
 
 def test_term_count_matches_the_oracle():

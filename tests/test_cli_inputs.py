@@ -16,8 +16,8 @@ from mzvshuffle.cli import main
 from mzvshuffle.words import parse_word
 
 MAX_LETTERS = 12  # parsed letters per word
-# shuffle_permutation enumerates C(n+m, n) interleavings and expand_general
-# builds about as many block layouts, so their pairs get fewer letters
+# shuffle_permutation enumerates C(n+m, n) interleavings and expand_general's
+# walk can hold up to C(r+s, r) nodes a level, so their pairs get fewer letters
 SMALL_PAIR = 12
 
 letter = st.sampled_from("xy") | st.builds("{}^{}".format, st.sampled_from("xy"), st.integers(0, 4))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -154,6 +155,15 @@ def test_expand_general_length_18_pair():
     got = expand_general(ea, eb)
     assert len(got) == 903
     assert got == oracle(ea, eb)
+
+
+def test_expand_general_y_only_pairs():
+    # C(r+s, r) layouts, up to C(60, 30): one output word, their count
+    for r in range(1, 31):
+        for s in range(1, 31):
+            assert expand_general((0,) * r, (0,) * s) == LinComb(
+                {Word("y" * (r + s)): math.comb(r + s, r)}
+            )
 
 
 def test_expand_general_symmetry():
