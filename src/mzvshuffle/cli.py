@@ -33,14 +33,14 @@ EXIT_DOMAIN = 3
 
 # Limits tested by _refusal before any work, for words of n and m letters
 # with r and s y's.  Three bound a method's work: the oracle's letters, the
-# enumeration's C(n+m, n) interleavings, the closed form's C(r+s, r) y-block
-# layouts (its one walk never holds more nodes than the layouts walked one by
-# one, docs/FORMULA_NOTES.md).  One bounds every method's output, words times
-# n+m letters, at 18 bytes a letter at most (tracemalloc); identity
-# evaluates one in 20-35 us.
+# enumeration's C(n+m, n) interleavings, and the letters the closed form's
+# walk can hold, at most 2(r+1)(s+1) nodes of r+s letters per output word
+# (docs/FORMULA_NOTES.md, "The binomial walk").  One bounds every method's
+# output, words times n+m letters, at 18 bytes a letter at most
+# (tracemalloc); identity evaluates one in 20-35 us.
 ORACLE_MAX_LETTERS = 500
 PERMUTATION_MAX_INTERLEAVINGS = 10**6
-GENERAL_MAX_LAYOUTS = 10**5
+GENERAL_MAX_WALK_LETTERS = 2 * 10**8
 MAX_PRINTED_LETTERS = 3 * 10**7
 IDENTITY_MAX_LETTERS = 10**5
 _RUN = {"x": re.compile("x*"), "y": re.compile("y*")}
@@ -166,18 +166,21 @@ def _refusal(method: str, u: Word, v: Word) -> tuple[str, str | None]:
     """The method that runs, `auto` resolved, and why it refuses to shuffle
     u and v, or None; `identity` is the oracle under identity's budget.  The
     method's work limit comes first, then the output check of every method,
-    which counts the words only if their sum C(n+m, n) could pass it."""
+    which counts the words only if their sum C(n+m, n) could pass it; for
+    general that one count also bounds the letters its walk holds."""
     n, m = len(u), len(v)
     size, r, s = n + m, u.y_count, v.y_count
     budget = IDENTITY_MAX_LETTERS if method == "identity" else MAX_PRINTED_LETTERS
     cap = budget // max(size, 1)
     interleavings = _binomial_capped(size, n, max(cap, PERMUTATION_MAX_INTERLEAVINGS))
+    per_term = 2 * (r + 1) * (s + 1) * (r + s)  # walk letters per output word
     general = None
     if not (u.ends_with_y and v.ends_with_y):
         general = "the general closed form needs both words nonempty and ending in y"
-    elif _binomial_capped(r + s, r, GENERAL_MAX_LAYOUTS) > GENERAL_MAX_LAYOUTS:
-        general = (f"C({r + s}, {r}) y-block layouts are too many for the general "
-                   f"closed form, which takes at most {GENERAL_MAX_LAYOUTS}")
+    elif per_term > GENERAL_MAX_WALK_LETTERS:
+        general = (f"the general closed form's walk can hold 2(r+1)(s+1)(r+s) = {per_term} "
+                   f"letters per output word: too many, it takes at most "
+                   f"{GENERAL_MAX_WALK_LETTERS} letters")
     deep = size > ORACLE_MAX_LETTERS
     if method == "auto":
         method = "general" if deep and u.ends_with_y and v.ends_with_y else "recursive"
@@ -190,7 +193,13 @@ def _refusal(method: str, u: Word, v: Word) -> tuple[str, str | None]:
                         f"enumeration, which takes at most {PERMUTATION_MAX_INTERLEAVINGS}")
     if method == "general" and general:
         return method, general
-    if interleavings > cap and _term_count(u.text, v.text, cap) > cap:
+    # one count serves both checks: the walk's words, then the output's
+    limit = min(cap, GENERAL_MAX_WALK_LETTERS // per_term) if method == "general" else cap
+    if interleavings > limit and (terms := _term_count(u.text, v.text, limit)) > limit:
+        if terms <= cap:
+            return method, (f"the product has more than {limit} words, at up to {per_term} "
+                            f"letters each in the general closed form's walk: too many, it "
+                            f"takes at most {GENERAL_MAX_WALK_LETTERS} letters")
         use = "identity evaluates" if method == "identity" else "a shuffle prints"
         return method, (f"the product has more than {cap} words of {size} letters: too "
                         f"many, {use} at most {budget} letters")

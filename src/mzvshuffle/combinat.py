@@ -87,61 +87,64 @@ def composition_list(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     return tuple(compositions(total, parts))
 
 
-def binomial_chains(
-    steps: tuple[tuple[int, bool], ...], total: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Weak compositions w of `total` into len(steps) + 1 parts whose chain
-    binom(w_0, beta_0) * ... * binom(w_{n-1}, beta_{n-1}) is nonzero, each
-    paired with that product.  The last part takes what is left.
+def binomial_walk(out: dict, graph: dict, total: int) -> int:
+    """Add to out every weak composition of `total` that a path of `graph`
+    reaches with a nonzero product of binomials, times that product; return
+    the number of nodes walked.
 
-    steps[i] = (c, prefix) gives beta_i = c - (w_0 + ... + w_{i-1}) when
-    prefix is true and beta_i = c otherwise.  Each w_i only takes values with
-    0 <= beta_i <= w_i, and cap[i], the largest prefix sum w_0 + ... + w_{i-1}
-    from which the remaining steps can still be met, bounds it from above, so
-    no branch of the walk dies: each level holds at most one partial
-    composition per output, and the work is proportional to the output.
+    graph maps each state to (moves, tail), the start state first and every
+    state before the states its moves reach.  A move (new, c, prefix) sets
+    the next part w_i with the factor binom(w_i, beta_i), where beta_i = c -
+    (w_0 + ... + w_{i-1}) when prefix is true and beta_i = c otherwise.  A
+    state whose tail (seq, start) is not None ends a path: the part after
+    the move into it takes the x-degree left, and seq[start:] is pinned
+    after that part (read only when a move reaches the state, so no tail is
+    copied ahead of the walk).
+
+    cap[state], the largest prefix sum from which a path can still finish,
+    is worked out from the last states back; each part then only takes
+    values with 0 <= beta_i <= w_i that stay within the cap of the state it
+    leads to, so no branch dies.  Nodes are keyed by (parts, prefix sum) per
+    state, so paths that reach one state with equal parts merge
+    (docs/FORMULA_NOTES.md, "The binomial walk").
     """
-    n = len(steps)
-    cap = [0] * (n + 1)
-    cap[n] = total
-    for i in range(n - 1, -1, -1):
-        c, prefix = steps[i]
-        if prefix:
-            # beta_i >= 0 needs the prefix sum at most c; w_i >= beta_i then
-            # lifts the next prefix sum to at least c
-            if c > cap[i + 1]:
-                return []
-            cap[i] = min(c, cap[i + 1])
-        else:
-            if c < 0:
-                return []
-            cap[i] = cap[i + 1] - c
-    if cap[0] < 0:
-        return []
-    if not n:
-        return [((total,), 1)]
+    cap: dict = {}
+    for state in reversed(graph):
+        moves, tail = graph[state]
+        if tail is not None:
+            cap[state] = total - sum(tail[0][tail[1] :])
+            continue
+        top = -1
+        for new, c, prefix in moves:
+            # beta >= 0 needs the prefix sum at most c, and w_i >= beta lifts
+            # the next one to at least c
+            if prefix:
+                if c <= cap[new]:
+                    top = max(top, c)
+            elif c >= 0:
+                top = max(top, cap[new] - c)
+        cap[state] = top
     comb = math.comb
-    states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
-    for i in range(n - 1):
-        c, prefix = steps[i]
-        top = cap[i + 1]
-        nxt: list[tuple[tuple[int, ...], int, int]] = []
-        add = nxt.append
-        for w, used, coeff in states:
-            beta = c - used if prefix else c
-            for x in range(beta, top - used + 1):
-                add((w + (x,), used + x, coeff * comb(x, beta) if beta else coeff))
-        states = nxt
-    # the last step sets w_{n-1} and, with it, the closing part
-    c, prefix = steps[-1]
-    out: list[tuple[tuple[int, ...], int]] = []
-    add = out.append
-    for w, used, coeff in states:
-        beta = c - used if prefix else c
-        left = total - used
-        for x in range(beta, left + 1):
-            add((w + (x, left - x), coeff * comb(x, beta) if beta else coeff))
-    return out
+    nodes = {next(iter(graph)): {((), 0): 1}}
+    walked = 0
+    for state, (moves, _) in graph.items():
+        paths = nodes.pop(state, None)
+        if not paths:
+            continue
+        walked += len(paths)
+        for new, c, prefix in moves:
+            top, tail = cap[new], graph[new][1]
+            dest = nodes.setdefault(new, {}) if tail is None else out
+            pinned = None if tail is None else tail[0][tail[1] :]
+            for (w, used), coeff in paths.items():
+                beta = c - used if prefix else c
+                if beta < 0:
+                    continue
+                # w_i runs from beta up to what the cap of `new` leaves
+                for x in range(beta, top - used + 1):
+                    key = (w + (x,), used + x) if tail is None else w + (x, top - used - x) + pinned
+                    dest[key] = dest.get(key, 0) + (coeff * comb(x, beta) if beta else coeff)
+    return walked
 
 
 def distinct_orderings(items) -> tuple[list[tuple], int]:

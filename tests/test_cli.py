@@ -80,7 +80,7 @@ DEEP_PAIRS = [
     pytest.param(("identity", "x^498 y", "xy"), False, id="identity-501"),
     # no hint where the closed form refuses the pair too
     pytest.param(
-        ("shuffle", "y^300", "y^300", "--method", "recursive"), False, id="shuffle-general-refuses"
+        ("shuffle", "y^400", "y^400", "--method", "recursive"), False, id="shuffle-general-refuses"
     ),
 ]
 
@@ -129,7 +129,15 @@ def test_shuffle_does_not_depend_on_the_recursion_limit(capsys):
 WORK_LIMIT_PAIRS = [
     pytest.param(("shuffle", "x^40 y", "x^40 y", "--method", "permutation"),
                  "C(82, 41) interleavings", id="permutation-interleavings"),
-    pytest.param(("shuffle", "y^300", "y^300"), "C(600, 300) y-block layouts", id="general-layouts"),
+    # 2(r+1)(s+1)(r+s) = 4e10 letters a word in the closed form's walk, past
+    # its limit before any count, though C(100000, 1) layouts are few
+    pytest.param(("shuffle", "y", "y^99999", "--method", "general"),
+                 "2(r+1)(s+1)(r+s) = 40000000000 letters per output word", id="general-walk"),
+    pytest.param(("shuffle", "y", "y^99999"),
+                 "2(r+1)(s+1)(r+s) = 40000000000 letters per output word", id="auto-general-walk"),
+    # 893,040 letters a word, so at most 223 words for the walk's limit
+    pytest.param(("shuffle", "x^3 y^60", "x^3 y^60", "--method", "general"),
+                 "more than 223 words, at up to 893040 letters each", id="general-walk-words"),
     pytest.param(("shuffle", "x^1000000 y", "x^1000000 y", "--method", "general"),
                  "more than 14 words of 2000002 letters: too many, a shuffle prints at most "
                  "30000000 letters", id="general-letters"),
@@ -203,31 +211,34 @@ def test_binomial_capped():
 
 
 def test_general_work_estimates():
-    # the closed form's limit counts C(r+s, r) y-block layouts: each is one
-    # path of closed_form._step from (0, 0, 1) until the side of its last y
-    # is used up, after which the other side's y's form the final block
-    from mzvshuffle.cli import _binomial_capped
-    from mzvshuffle.closed_form import _step
+    # the closed form's walk holds at most 2(r+1)(s+1) nodes of r+s letters
+    # per output word: at most 2(r+1)(s+1) y-block states, no dead node, and
+    # distinct prefixes at one state extend to distinct words
+    import random
 
-    for r in range(1, 7):
-        for s in range(1, 7):
-            zeros = ((0,) * r, (0,) * s, (0,) * (r + 1), (0,) * (s + 1))
-            ends, states = 0, [(0, 0, 1)]
-            while states:
-                state = states.pop()
-                for side, depth in enumerate((r, s)):
-                    if state[side] < depth:
-                        new, _ = _step(state, side, *zeros)
-                        if new[side] == depth:
-                            ends += 1
-                        else:
-                            states.append(new)
-            assert ends == math.comb(r + s, r) == _binomial_capped(r + s, r, 10**3)
+    from mzvshuffle.closed_form import _general_graph
+    from mzvshuffle.combinat import binomial_walk
+
+    rng = random.Random(20)
+    for r in range(1, 6):
+        for s in range(1, 6):
+            for top in (0, 1, 3):
+                a = tuple(rng.randint(0, top) for _ in range(r))
+                b = tuple(rng.randint(0, top) for _ in range(s))
+                graph = _general_graph(a, b)
+                assert len(graph) <= 2 * (r + 1) * (s + 1)
+                out = {}
+                nodes = binomial_walk(out, graph, sum(a) + sum(b))
+                assert 0 < nodes <= 2 * (r + 1) * (s + 1) * len(out), (a, b)
 
 
-# y-only pairs near the closed form's limit, 99,681 and 92,378 layouts with
-# one output word: the walk sums the layouts through each y-block state
-@pytest.mark.parametrize("u,v,want", [("y^2", "y^445", "99681*y^447"), ("y^9", "y^10", "92378*y^19")])
+# y-only pairs of 99,681, 92,378 and C(200, 100) layouts with one output
+# word: the walk sums the layouts through each y-block state
+@pytest.mark.parametrize("u,v,want", [
+    ("y^2", "y^445", "99681*y^447"),
+    ("y^9", "y^10", "92378*y^19"),
+    ("y^100", "y^100", "90548514656103281165404177077484163874504589675413336841320*y^200"),
+])
 def test_general_sums_the_layouts_it_shares(capsys, u, v, want):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "shuffle", u, v, "--method", "general")

@@ -69,9 +69,9 @@ def exit_code(argv: list[str]) -> int:
 @example("x^400 y", "x^400 y", "recursive", "plain", True)
 # more than cli.PERMUTATION_MAX_INTERLEAVINGS interleavings,
 @example("x^40 y", "x^40 y", "permutation", "plain", True)
-# more than cli.GENERAL_MAX_LAYOUTS y-block layouts for the closed form,
-@example("y^300", "y^300", "general", "json", True)
-@example("y^300", "y^300", "auto", "plain", True)
+# more than cli.GENERAL_MAX_WALK_LETTERS letters in the closed form's walk,
+@example("y", "y^99999", "general", "json", True)
+@example("y", "y^99999", "auto", "plain", True)
 # and, for every method, more than cli.MAX_PRINTED_LETTERS printed letters
 @example("x^70 y x^3 y", "x y^80 x y", "recursive", "plain", True)
 @example("x^12", "y^13", "recursive", "plain", True)

@@ -3,7 +3,7 @@ import math
 
 from mzvshuffle.combinat import (
     binom,
-    binomial_chains,
+    binomial_walk,
     compositions,
     distinct_orderings,
     prefix_sums,
@@ -105,12 +105,19 @@ def test_zero_padded_windows_summed_once():
             assert got == want, (total, width)
 
 
-def test_binomial_chains_against_filtered_compositions():
+def chain_graph(steps, tail=()):
+    """binomial_walk's graph of one chain of steps, its last state pinning tail."""
+    graph = {i: ([(i + 1, c, prefix)], None) for i, (c, prefix) in enumerate(steps)}
+    graph[len(steps)] = ((), (tail, 0))
+    return graph
+
+
+def test_binomial_walk_against_filtered_compositions():
     # every step kind, including free steps, negative constants and prefix
     # constants larger than the total, against the enumerate-then-filter
     # definition
     kinds = [(c, prefix) for c in (-1, 0, 1, 2, 3) for prefix in (False, True)]
-    for n in range(4):
+    for n in range(1, 4):
         for steps in itertools.product(kinds, repeat=n):
             for total in range(5):
                 want = {}
@@ -120,9 +127,32 @@ def test_binomial_chains_against_filtered_compositions():
                         coeff *= binom(w[i], c - sum(w[:i]) if prefix else c)
                     if coeff:
                         want[w] = coeff
-                got = binomial_chains(steps, total)
-                assert len(got) == len(want), (steps, total)
-                assert dict(got) == want, (steps, total)
+                got = {}
+                binomial_walk(got, chain_graph(steps), total)
+                assert got == want, (steps, total)
+
+
+def test_binomial_walk_of_a_trie_sums_its_chains():
+    # chains that share step prefixes, one a prefix of another, two equal,
+    # with pinned tails: the trie walks to the sum of each chain walked alone
+    from mzvshuffle.closed_form import _walk_terms
+    from mzvshuffle.lincomb import LinComb
+
+    terms = [
+        (((1, False), (2, False)), (1,)),
+        (((1, False), (2, False)), (1,)),
+        (((1, False), (2, False), (4, True)), ()),
+        (((1, False), (3, True)), (0, 2)),
+        (((1, False),), (2,)),
+        (((0, False), (2, True), (1, False)), ()),
+        (((2, True),), ()),
+    ]
+    for total in range(3, 10):
+        want = {}
+        for steps, tail in terms:
+            binomial_walk(want, chain_graph(steps, tail), total)
+        assert want
+        assert _walk_terms(terms, total) == LinComb.from_exponents(want), total
 
 
 def test_distinct_orderings():
