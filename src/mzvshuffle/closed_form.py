@@ -142,16 +142,25 @@ def _general_graph(a: tuple[int, ...], b: tuple[int, ...]) -> dict:
     block: its first position takes the x's left and the rest are pinned to
     their exponents, a[i + 1:] or b[j + 1:], given as the tail (a, i + 1) or
     (b, j + 1) so that no tail is copied before the walk reaches its state.
+    Each move holds the graph's own key of the state it reaches, not a copy.
     """
     r, s = len(a), len(b)
     pa, pb = prefix_sums(a), prefix_sums(b)
+    # a state with no y of side `last` placed yet is only the start
+    keys = {
+        state: state
+        for state in itertools.product(range(r + 1), range(s + 1), (0, 1))
+        if state[state[2]] or state == (0, 0, 1)
+    }
     graph: dict = {}
-    for state in itertools.product(range(r + 1), range(s + 1), (0, 1)):
+    for state in keys:
         i, j, last = state
-        if not state[last] and state != (0, 0, 1):
-            continue  # no y of side `last` placed yet: only the start
         if i < r and j < s:
-            graph[state] = ([_step(state, side, a, b, pa, pb) for side in (0, 1)], None)
+            moves = []
+            for side in (0, 1):
+                new, c, prefix = _step(state, side, a, b, pa, pb)
+                moves.append((keys[new], c, prefix))
+            graph[state] = (moves, None)
         elif i < r and last:
             graph[state] = ((), (a, i + 1))
         elif j < s and not last:

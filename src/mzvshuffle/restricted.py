@@ -1,8 +1,9 @@
 """Closed forms for products of words with runs of y's, and n-fold products.
 
 Inputs are run pairs (a, r) meaning x^a y^r.  The two-factor expansions are
-organized case by case, one function per y-interleaving pattern, so each
-case can be checked on its own against an oracle restricted to that pattern.
+organized case by case, one function per y-interleaving pattern or mirrored
+pair of patterns (taking the side that leads its last window), so each case
+can be checked on its own against an oracle restricted to that pattern.
 
 Every binomial and multiplicity of the displays is kept as transcribed, but
 their sums over the splits (l, K - l) of a y-run, a window of l parts
@@ -15,6 +16,7 @@ y-compositions the same way.
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb  # for binomials whose 0 <= k <= n always holds
 from typing import Iterable
 
@@ -40,10 +42,10 @@ def _inner_shuffles(extra_ys: int, gap: int) -> int:
     s1 = 1 the two boundary y's coincide, the region does not exist, and the
     printed factor binom(extra_ys - 1, extra_ys) would wrongly kill the
     whole term; the correct degenerate count is 1 for an empty region (see
-    FORMULA_NOTES.md).
+    FORMULA_NOTES.md).  Every caller has extra_ys >= 0.
     """
     if gap >= 0:
-        return binom(extra_ys + gap, extra_ys)
+        return comb(extra_ys + gap, extra_ys)
     return 1 if extra_ys == 0 else 0
 
 
@@ -78,9 +80,8 @@ def _sum_cases(cases: Iterable, *calls: tuple[int, ...]) -> LinComb:
 # splits it fits (docs/FORMULA_NOTES.md, "Zero-padded tails summed once").
 # A window whose parts carry binomials at pinned positions is cut there into
 # segments, each with its first part pinned, and the loops run over the
-# segments' sums; where the one further pin's binomial has a fixed lower
-# index (2x2 cases i and viii), the window is filtered by it instead, which
-# is faster on these small windows.
+# segments' sums; 2x2 case i filters its window by its one further pin
+# instead, which is faster on these small windows.
 
 
 def _lead(total: int, low: int, width: int, pad: int, suffix: list[int]) -> list:
@@ -99,11 +100,6 @@ def _lead(total: int, low: int, width: int, pad: int, suffix: list[int]) -> list
     ]
 
 
-def _pinned(windows: list, at: int, low: int) -> list:
-    """The windows, as (exps, coeff), whose part `at` carries binom(part, low)."""
-    return [(w, c * comb(w[at], low)) for w, c in windows if w[at] >= low]
-
-
 def _run_tails(total: int, runs: int, s: int) -> list:
     """sum_{j=0..runs} binom(runs - j + s - 1, runs - j) x^{w_0} y ... x^{w_j}
     y^{runs - j + s} over the weak compositions w of `total` into j + 1
@@ -116,11 +112,27 @@ def _half(total: int, low: int, r: int, s: int, pad: int) -> list:
     """The words of x^low y^r . x^(total - low) y^s whose first y comes from
     y^r, as (exps, coeff): a word with l leading y's from y^r is a window of
     l + 1 parts of `total`, its first part carrying binom(part, low), weighted
-    binom(r + s - l - 1, r - l), the l loop summed at once; `pad` zeros
-    follow the window of r + 1 parts (docs/FORMULA_NOTES.md, "The 1x1
-    half")."""
-    suffix = suffix_sums([0, 0] + [comb(r + s - l - 1, r - l) for l in range(1, r + 1)])
+    _inner_shuffles(r - l, s - 1) (binom(r + s - l - 1, r - l) for s >= 1),
+    the l loop summed at once; `pad` zeros follow the window of r + 1 parts
+    (docs/FORMULA_NOTES.md, "The 1x1 half")."""
+    suffix = suffix_sums([0, 0] + [_inner_shuffles(r - l, s - 1) for l in range(1, r + 1)])
     return _lead(total, low, r + 1, pad, suffix)
+
+
+def _side(side: int, xu: int, r: int, xv: int, s: int) -> list:
+    """The half of x^xu y^r . x^xv y^s whose first y comes from y^r (side 0)
+    or from y^s (side 1), ending the word."""
+    if side:
+        return _half(xu + xv, xv, s, r, r - 1)
+    return _half(xu + xv, xu, r, s, s - 1)
+
+
+def _closed(total: int, width: int, pad: int) -> list:
+    """The windows of j = 1 .. width parts of `total`, then width - j + pad
+    zeros, weighted binom(width - j + pad - 1, pad - 1), the j loop summed at
+    once: the window its own prefix closes in 2x2 cases v and x."""
+    suffix = suffix_sums([0] + [comb(width - j + pad - 1, pad - 1) for j in range(1, width + 1)])
+    return _lead(total, 0, width, pad, suffix)
 
 
 def _join(heads: list, tails: list) -> list:
@@ -155,20 +167,11 @@ def _res_1_1_half(a, r, b, s, out):
 # x^a y^r . x^{b1} y^{s1} x^{b2} y^{s2}
 
 
-def _split_heads(total: int, low: int, s1: int, t: int) -> list:
-    """With t = l1 + l2: a window of l1 + 1 parts of `total`, its first part
-    carrying binom(part, low), then l2 + s1 - 1 zeros, weighted
-    _inner_shuffles(l2, s1 - 2), the l1 loop summed at once (1x2 case i,
-    2x2 cases viii-x)."""
-    suffix = suffix_sums([0, 0] + [_inner_shuffles(t - l1, s1 - 2) for l1 in range(1, t + 1)])
-    return _lead(total, low, t + 1, s1 - 1, suffix)
-
-
 def _res12_case_i(a, r, b1, s1, b2, s2, out):
     # t = r1 + r2: the r1 loop (window r1 + 1, then r2 + s1 - 1 zeros) and the
     # r3 loop (window r3 + 1, then r4 + s2 - 1 zeros) each summed at once
     for t in range(1, r + 1):
-        _emit(out, _split_heads(a + b1, a, s1, t), _run_tails(b2, r - t, s2))
+        _emit(out, _half(a + b1, a, t, s1 - 1, s1 - 1), _run_tails(b2, r - t, s2))
 
 
 def _res12_case_ii(a, r, b1, s1, b2, s2, out):
@@ -177,35 +180,23 @@ def _res12_case_ii(a, r, b1, s1, b2, s2, out):
     if s1 < 2:
         return
     for r1 in range(1, r + 1):
-        suffix = suffix_sums([0, 0] + [comb(r1 + s1 - l - 2, r1 - 1) for l in range(1, s1)])
-        _emit(out, _lead(a + b1, b1, s1, r1, suffix), _run_tails(b2, r - r1, s2))
+        _emit(out, _half(a + b1, b1, s1 - 1, r1, r1), _run_tails(b2, r - r1, s2))
 
 
-def _res12_case_iii(a, r, b1, s1, b2, s2, out):
-    # window r1 + s1 + 1, then r2 + s2 - 1 zeros, the r1 loop summed at once;
-    # cut at its pinned part s1, after p = alpha_1 + ... + alpha_{s1}, the
-    # rest the half of x^{a+b1-p} y^r . x^{b2} y^{s2}
+def _res12_case_iii_iv(side, a, r, b1, s1, b2, s2, out):
+    # window r1 + s1 + 1 (iii) or s1 + l + 1 (iv), then zeros, the r1 or l
+    # loop summed at once; cut at its pinned part s1, after p = alpha_1 + ...
+    # + alpha_{s1}, the rest the half of x^{a+b1-p} y^r . x^{b2} y^{s2} on `side`
     flat = [1] * (s1 + 1)
     for p in range(b1, a + b1 + 1):
-        tails = _half(a + b1 + b2 - p, a + b1 - p, r, s2, s2 - 1)
-        _emit(out, _lead(p, b1, s1, 0, flat), tails)
-
-
-def _res12_case_iv(a, r, b1, s1, b2, s2, out):
-    # window s1 + l + 1, then r + s2 - l - 1 zeros, the l loop summed at once;
-    # cut at its pinned part s1, after p = alpha_1 + ... + alpha_{s1}, the
-    # rest the half of x^{b2} y^{s2} . x^{a+b1-p} y^r
-    flat = [1] * (s1 + 1)
-    for p in range(b1, a + b1 + 1):
-        tails = _half(a + b1 + b2 - p, b2, s2, r, r - 1)
-        _emit(out, _lead(p, b1, s1, 0, flat), tails)
+        _emit(out, _lead(p, b1, s1, 0, flat), _side(side, a + b1 - p, r, b2, s2))
 
 
 _RES12_CASES = {
     "i": _res12_case_i,
     "ii": _res12_case_ii,
-    "iii": _res12_case_iii,
-    "iv": _res12_case_iv,
+    "iii": partial(_res12_case_iii_iv, 0),
+    "iv": partial(_res12_case_iii_iv, 1),
 }
 
 
@@ -242,46 +233,37 @@ def _res22_case_i(a1, r1, a2, r2, b1, s1, b2, s2, out):
         # the widest window's multiplicity, _inner_shuffles(0, s1 - 2), is 1
         mults = [_inner_shuffles(t - l1, s1 - 2) for l1 in range(1, t + 1)]
         suffix = suffix_sums([0] * (r1 + 2) + mults)
-        heads = _pinned(_lead(a1 + a2 + b1, a1, r1 + t + 1, s1 - 1, suffix), r1, a2)
+        # part r1 carries binom(part, a2); filtering by it is faster than
+        # cutting the window there into _firsts and _half (FORMULA_NOTES.md)
+        windows = _lead(a1 + a2 + b1, a1, r1 + t + 1, s1 - 1, suffix)
+        heads = [(w, c * comb(w[r1], a2)) for w, c in windows if w[r1] >= a2]
         _emit(out, heads, _run_tails(b2, r2 - t, s2))
 
 
 def _res22_case_ii(a1, r1, a2, r2, b1, s1, b2, s2, out):
     # the k loop (window r1 + k + 1, then l1 + s1 - k - 1 zeros) and the l2
     # loop (window l2 + 1, then l3 + s2 - 1 zeros) each summed at once; the
-    # first window is cut at its pinned part r1 + 1, after p
+    # first window is cut at its pinned part r1 + 1, after p, the rest the
+    # half of x^{a1+b1-p} y^{s1-1} . x^{a2} y^{l1}, then l1 zeros
     if s1 < 2:
         return
     firsts = _firsts(a1, b1, r1)
     for l1 in range(1, r2 + 1):
-        suffix = suffix_sums([0, 0] + [comb(l1 + s1 - k - 2, l1 - 1) for k in range(1, s1)])
         tails = _run_tails(b2, r2 - l1, s2)
         for p in range(a1, a1 + b1 + 1):
-            seconds = _lead(a1 + a2 + b1 - p, a1 + b1 - p, s1, l1, suffix)
+            seconds = _half(a1 + a2 + b1 - p, a1 + b1 - p, s1 - 1, l1, l1)
             _emit(out, _join(firsts[p], seconds), tails)
 
 
-def _res22_case_iii(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    # window r1 + l1 + s1 + 1, then l2 + s2 - 1 zeros, the l1 loop summed at
-    # once; cut at its pinned parts r1 and r1 + s1, after
-    # p = alpha_1 + ... + alpha_{r1} and q = p + ... + alpha_{r1+s1}, the
-    # rest the half of x^{a1+a2+b1-q} y^{r2} . x^{b2} y^{s2}
+def _res22_case_iii_iv(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
+    # window r1 + l1 + s1 + 1 (iii) or r1 + s1 + k + 1 (iv), then zeros, the
+    # l1 or k loop summed at once; cut at its pinned parts r1 and r1 + s1,
+    # after p = alpha_1 + ... + alpha_{r1} and q = p + ... + alpha_{r1+s1},
+    # the rest the half of x^{a1+a2+b1-q} y^{r2} . x^{b2} y^{s2} on `side`
     firsts = _firsts(a1, b1, r1)
     flat = [1] * (s1 + 1)
     for q in range(a1 + b1, a1 + a2 + b1 + 1):
-        tails = _half(a1 + a2 + b1 + b2 - q, a1 + a2 + b1 - q, r2, s2, s2 - 1)
-        for p in range(a1, a1 + b1 + 1):
-            _emit(out, _join(firsts[p], _lead(q - p, a1 + b1 - p, s1, 0, flat)), tails)
-
-
-def _res22_case_iv(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    # window r1 + s1 + k + 1, then r2 + s2 - k - 1 zeros, the k loop summed
-    # at once; cut as in case (iii), the rest the half of x^{b2} y^{s2} .
-    # x^{a1+a2+b1-q} y^{r2}
-    firsts = _firsts(a1, b1, r1)
-    flat = [1] * (s1 + 1)
-    for q in range(a1 + b1, a1 + a2 + b1 + 1):
-        tails = _half(a1 + a2 + b1 + b2 - q, b2, s2, r2, r2 - 1)
+        tails = _side(side, a1 + a2 + b1 - q, r2, b2, s2)
         for p in range(a1, a1 + b1 + 1):
             _emit(out, _join(firsts[p], _lead(q - p, a1 + b1 - p, s1, 0, flat)), tails)
 
@@ -297,20 +279,18 @@ def _res22_case_v(a1, r1, a2, r2, b1, s1, b2, s2, out):
     thirds = [None] + [_run_tails(b2, r2 - l1, s2) for l1 in range(1, r2 + 1)]
     for k1 in range(1, s1):
         heads = _half(a1 + b1, a1, r1 - 1, k1, k1)
-        m = s1 - k1  # k2 + k3
         for l1 in range(1, r2 + 1):
-            suffix = suffix_sums([0] + [comb(m - k2 + l1 - 2, l1 - 1) for k2 in range(m)])
-            _emit(out, heads, _join(_lead(a2, 0, m, l1, suffix), thirds[l1]))
+            _emit(out, heads, _join(_closed(a2, s1 - k1, l1), thirds[l1]))
 
 
-def _res22_case_vi(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    # the l1 loop, and the l2 loop (window s1 - k + l2 + 1, its part s1 - k
-    # closing the a2 prefix, then r2 + s2 - l2 - 1 zeros), each summed at
-    # once; the second window is cut at its part s1 - k, after p, the sum of
-    # the parts before it
+def _res22_case_vi_vii(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
+    # the l1 loop, and the l2 (vi) or k2 (vii) loop (window s1 - k + l2 + 1,
+    # its part s1 - k closing the a2 prefix, then r2 + s2 - l2 - 1 zeros),
+    # each summed at once; the second window is cut at its part s1 - k, after
+    # p, the rest the half of x^{a2-p} y^{r2} . x^{b2} y^{s2} on `side`
     if r1 < 2 or s1 < 2:
         return
-    tails = [_half(a2 + b2 - p, a2 - p, r2, s2, s2 - 1) for p in range(a2 + 1)]
+    tails = [_side(side, a2 - p, r2, b2, s2) for p in range(a2 + 1)]
     for k in range(1, s1):
         heads = _half(a1 + b1, a1, r1 - 1, k, k)
         flat = [1] * (s1 - k + 1)
@@ -318,47 +298,21 @@ def _res22_case_vi(a1, r1, a2, r2, b1, s1, b2, s2, out):
             _emit(out, _join(heads, _lead(p, 0, s1 - k, 0, flat)), tails[p])
 
 
-def _res22_case_vii(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    # the l loop, and the k2 loop (window s1 - k1 + k2 + 1, its part s1 - k1
-    # at position r1 + s1 + 1, then r2 + s2 - k2 - 1 zeros), each summed; the
-    # second window is cut at its part s1 - k1, after p, as in case (vi)
-    if r1 < 2 or s1 < 2:
-        return
-    tails = [_half(a2 + b2 - p, b2, s2, r2, r2 - 1) for p in range(a2 + 1)]
-    for k1 in range(1, s1):
-        heads = _half(a1 + b1, a1, r1 - 1, k1, k1)
-        flat = [1] * (s1 - k1 + 1)
-        for p in range(a2 + 1):
-            _emit(out, _join(heads, _lead(p, 0, s1 - k1, 0, flat)), tails[p])
-
-
-def _res22_case_viii(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    # t = l1 + l2 = r1 - l3; the l1 loop, and the l loop (window l3 + l + 1
-    # of a2 + b2, then r2 + s2 - l - 1 zeros), each summed at once
+def _res22_case_viii_ix(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
+    # t = l1 + l2 = r1 - l3; the l1 loop, and the l (viii) or k (ix) loop
+    # (window l3 + l + 1 of a2 + b2, then r2 + s2 - l - 1 zeros), each summed
+    # at once; the second window is cut at its pinned part l3 + 1, after p,
+    # the rest the half of x^{a2} y^{r2} . x^{b2-p} y^{s2} on `side`
     if r1 < 2:
         return
-    mults = [comb(r2 + s2 - l - 1, s2 - 1) for l in range(1, r2 + 1)]
-    for t in range(1, r1):
-        mix = r1 - t  # l3, the index of position r1+s1+1 within the window
-        suffix = suffix_sums([0] * (mix + 2) + mults)  # mults[-1] = 1
-        tails = _pinned(_lead(a2 + b2, 0, mix + r2 + 1, s2 - 1, suffix), mix, a2)
-        _emit(out, _split_heads(a1 + b1, a1, s1, t), tails)
-
-
-def _res22_case_ix(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    # t = l1 + l2 = r1 - l3; the l1 loop, and the k loop (window l3 + k + 1
-    # of a2 + b2, then r2 + s2 - k - 1 zeros), each summed at once; the
-    # second window is cut at its pinned part l3 + 1, after p
-    if r1 < 2:
-        return
-    ends = [_half(a2 + b2 - p, b2 - p, s2, r2, r2 - 1) for p in range(b2 + 1)]
+    ends = [_side(side, a2, r2, b2 - p, s2) for p in range(b2 + 1)]
     for t in range(1, r1):
         mix = r1 - t  # l3
         flat = [1] * (mix + 1)
         tails = []
         for p in range(b2 + 1):
             tails += _join(_lead(p, 0, mix, 0, flat), ends[p])
-        _emit(out, _split_heads(a1 + b1, a1, s1, t), tails)
+        _emit(out, _half(a1 + b1, a1, t, s1 - 1, s1 - 1), tails)
 
 
 def _res22_case_x(a1, r1, a2, r2, b1, s1, b2, s2, out):
@@ -371,24 +325,21 @@ def _res22_case_x(a1, r1, a2, r2, b1, s1, b2, s2, out):
         return
     thirds = [None] + [_run_tails(a2, s2 - k1, r2) for k1 in range(1, s2 + 1)]
     for t in range(1, r1):
-        heads = _split_heads(a1 + b1, a1, s1, t)
-        rest = r1 - t
+        heads = _half(a1 + b1, a1, t, s1 - 1, s1 - 1)
         for k1 in range(1, s2 + 1):
-            mults = [comb(k1 + rest - l3 - 2, rest - l3 - 1) for l3 in range(rest)]
-            suffix = suffix_sums([0] + mults)
-            _emit(out, heads, _join(_lead(b2, 0, rest, k1, suffix), thirds[k1]))
+            _emit(out, heads, _join(_closed(b2, r1 - t, k1), thirds[k1]))
 
 
 _RES22_CASES = {
     "i": _res22_case_i,
     "ii": _res22_case_ii,
-    "iii": _res22_case_iii,
-    "iv": _res22_case_iv,
+    "iii": partial(_res22_case_iii_iv, 0),
+    "iv": partial(_res22_case_iii_iv, 1),
     "v": _res22_case_v,
-    "vi": _res22_case_vi,
-    "vii": _res22_case_vii,
-    "viii": _res22_case_viii,
-    "ix": _res22_case_ix,
+    "vi": partial(_res22_case_vi_vii, 0),
+    "vii": partial(_res22_case_vi_vii, 1),
+    "viii": partial(_res22_case_viii_ix, 0),
+    "ix": partial(_res22_case_viii_ix, 1),
     "x": _res22_case_x,
 }
 

@@ -72,6 +72,18 @@ def test_half_is_the_interleavings_led_by_the_first_run():
         assert got == buckets.get("half", LinComb()), (a, r, b, s)
 
 
+def test_half_at_s_0_is_the_first_run_shuffled_with_xs():
+    # s = 0 is the half the s1 = 1 heads read: x^a y^r . x^b with one y
+    # appended, the corrected count where the printed binom(r - l - 1, r - l)
+    # kills the l = r term ("Degenerate middle block at s_1 = 1")
+    points = [(a, r, b) for a in range(8) for r in range(1, 9) for b in range(8) if a + b + r <= 8]
+    assert len(points) == 120
+    for a, r, b in points:
+        shuffled = shuffle_recursive(run_word(a, r), Word("x" * b))
+        want = LinComb({Word(w.text + "y"): c for w, c in shuffled.items()})
+        assert LinComb.from_exponents(dict(_half(a + b, a, r, 0, 0))) == want, (a, r, b)
+
+
 def test_res_1_1_argument_swap():
     assert expand_res_1_1(2, 1, 0, 3) == expand_res_1_1(0, 3, 2, 1)
 
