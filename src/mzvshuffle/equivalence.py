@@ -11,11 +11,13 @@ over the splits of a y-run is taken at once, as in `restricted`: each
 composition of the widest window once, weighted by the suffix sum of the
 binomials of the splits it fits, or, where the window's last part carries
 the display's + 1, by the one split it has (docs/FORMULA_NOTES.md,
-"Zero-padded tails summed once").
+"Zero-padded tails summed once").  Each such window is built once per
+process and kept as a tuple.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb  # for binomials whose 0 <= k <= n always holds
 from typing import Iterable
 
@@ -42,7 +44,8 @@ def _require_positive(**params: int) -> None:
 # zeros.
 
 
-def _runs(total: int, runs: int, s: int) -> list:
+@lru_cache(maxsize=None)
+def _runs(total: int, runs: int, s: int) -> tuple:
     """sum_{j=0..runs} binom(runs - j + s - 1, s - 1) x^{p_0} y ... x^{p_j}
     y^{runs - j + s} over the weak compositions p of `total` into j + 1
     parts, as exponent tuples: each composition of the widest window once,
@@ -50,14 +53,15 @@ def _runs(total: int, runs: int, s: int) -> list:
     mults = [0] + [comb(runs - j + s - 1, s - 1) for j in range(runs + 1)]
     suffix = suffix_sums(mults)
     zeros = (0,) * (s - 1)
-    return [
+    return tuple(
         (w + zeros, suffix[last])
         for w, last in weak_compositions_with_last(total, runs + 1)
         if suffix[last]
-    ]
+    )
 
 
-def _marked_runs(total: int, r: int, s: int) -> list:
+@lru_cache(maxsize=None)
+def _marked_runs(total: int, r: int, s: int) -> tuple:
     """sum_{l=1..s} binom(r + s - l, r) x^{p_0} y ... x^{p_l + 1} y^{r + s - l}
     over the weak compositions p of `total` into l + 1 parts, the term with
     y^0 (r = 0, l = s) left out: with the 1 added, the window's last part is
@@ -65,11 +69,11 @@ def _marked_runs(total: int, r: int, s: int) -> list:
     width = r + s
     parts = min(s + 1, width)
     zeros = (0,) * (width - parts)
-    return [
+    return tuple(
         (w + zeros, comb(width - last + 1, r))
         for w, last in weak_compositions_with_last(total + 1, parts)
         if last >= 2
-    ]
+    )
 
 
 def _raised(words: list, first: int) -> list:

@@ -16,7 +16,7 @@ y-compositions the same way.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from math import comb  # for binomials whose 0 <= k <= n always holds
 from typing import Iterable
 
@@ -81,7 +81,10 @@ def _sum_cases(cases: Iterable, *calls: tuple[int, ...]) -> LinComb:
 # A window whose parts carry binomials at pinned positions is cut there into
 # segments, each with its first part pinned, and the loops run over the
 # segments' sums; 2x2 case i filters its window by its one further pin
-# instead, which is faster on these small windows.
+# instead, which is faster on these small windows.  Each window builder is a
+# pure function of a few run parameters, cached for the life of the process;
+# its value is a tuple, so no caller can change a shared window
+# (docs/FORMULA_NOTES.md, "Windows built once per process").
 
 
 def _lead(total: int, low: int, width: int, pad: int, suffix: list[int]) -> list:
@@ -91,7 +94,7 @@ def _lead(total: int, low: int, width: int, pad: int, suffix: list[int]) -> list
 
     With suffix = suffix_sums(m) this is the sum over k of m[k] times the
     windows of k parts, zero-padded to `width`; low = 0 gives plain windows,
-    and a suffix of ones a window of fixed width."""
+    and a suffix of ones a window of fixed width (`_flat`)."""
     zeros = (0,) * pad
     return [
         (w + zeros, comb(w[0], low) * suffix[last])
@@ -100,15 +103,17 @@ def _lead(total: int, low: int, width: int, pad: int, suffix: list[int]) -> list
     ]
 
 
-def _run_tails(total: int, runs: int, s: int) -> list:
+@lru_cache(maxsize=None)
+def _run_tails(total: int, runs: int, s: int) -> tuple:
     """sum_{j=0..runs} binom(runs - j + s - 1, runs - j) x^{w_0} y ... x^{w_j}
     y^{runs - j + s} over the weak compositions w of `total` into j + 1
     parts: the splits of a run of `runs` y's before a run of s y's."""
     suffix = suffix_sums([0] + [comb(runs - j + s - 1, s - 1) for j in range(runs + 1)])
-    return _lead(total, 0, runs + 1, s - 1, suffix)
+    return tuple(_lead(total, 0, runs + 1, s - 1, suffix))
 
 
-def _half(total: int, low: int, r: int, s: int, pad: int) -> list:
+@lru_cache(maxsize=None)
+def _half(total: int, low: int, r: int, s: int, pad: int) -> tuple:
     """The words of x^low y^r . x^(total - low) y^s whose first y comes from
     y^r, as (exps, coeff): a word with l leading y's from y^r is a window of
     l + 1 parts of `total`, its first part carrying binom(part, low), weighted
@@ -116,10 +121,10 @@ def _half(total: int, low: int, r: int, s: int, pad: int) -> list:
     the l loop summed at once; `pad` zeros follow the window of r + 1 parts
     (docs/FORMULA_NOTES.md, "The 1x1 half")."""
     suffix = suffix_sums([0, 0] + [_inner_shuffles(r - l, s - 1) for l in range(1, r + 1)])
-    return _lead(total, low, r + 1, pad, suffix)
+    return tuple(_lead(total, low, r + 1, pad, suffix))
 
 
-def _side(side: int, xu: int, r: int, xv: int, s: int) -> list:
+def _side(side: int, xu: int, r: int, xv: int, s: int) -> tuple:
     """The half of x^xu y^r . x^xv y^s whose first y comes from y^r (side 0)
     or from y^s (side 1), ending the word."""
     if side:
@@ -127,12 +132,20 @@ def _side(side: int, xu: int, r: int, xv: int, s: int) -> list:
     return _half(xu + xv, xu, r, s, s - 1)
 
 
-def _closed(total: int, width: int, pad: int) -> list:
+@lru_cache(maxsize=None)
+def _closed(total: int, width: int, pad: int) -> tuple:
     """The windows of j = 1 .. width parts of `total`, then width - j + pad
     zeros, weighted binom(width - j + pad - 1, pad - 1), the j loop summed at
     once: the window its own prefix closes in 2x2 cases v and x."""
     suffix = suffix_sums([0] + [comb(width - j + pad - 1, pad - 1) for j in range(1, width + 1)])
-    return _lead(total, 0, width, pad, suffix)
+    return tuple(_lead(total, 0, width, pad, suffix))
+
+
+@lru_cache(maxsize=None)
+def _flat(total: int, low: int, width: int) -> tuple:
+    """The weak compositions of `total` into `width` parts, the first carrying
+    binom(part, low): a flat segment of a window cut at its pinned parts."""
+    return tuple(_lead(total, low, width, 0, [1] * (width + 1)))
 
 
 def _join(heads: list, tails: list) -> list:
@@ -187,9 +200,8 @@ def _res12_case_iii_iv(side, a, r, b1, s1, b2, s2, out):
     # window r1 + s1 + 1 (iii) or s1 + l + 1 (iv), then zeros, the r1 or l
     # loop summed at once; cut at its pinned part s1, after p = alpha_1 + ...
     # + alpha_{s1}, the rest the half of x^{a+b1-p} y^r . x^{b2} y^{s2} on `side`
-    flat = [1] * (s1 + 1)
     for p in range(b1, a + b1 + 1):
-        _emit(out, _lead(p, b1, s1, 0, flat), _side(side, a + b1 - p, r, b2, s2))
+        _emit(out, _flat(p, b1, s1), _side(side, a + b1 - p, r, b2, s2))
 
 
 _RES12_CASES = {
@@ -218,12 +230,12 @@ def expand_res_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinCom
 # expanded here; expand_res_2_2 symmetrizes by swapping the factors.
 
 
-def _firsts(a1: int, b1: int, r1: int) -> list:
+@lru_cache(maxsize=None)
+def _firsts(a1: int, b1: int, r1: int) -> tuple:
     """For p = 0 .. a1 + b1: the windows of r1 parts of p whose first part
     carries binom(part, a1) (none for p < a1), the front segment of cases
     (ii)-(iv) when their window is cut at its pinned part r1 + 1."""
-    flat = [1] * (r1 + 1)
-    return [_lead(p, a1, r1, 0, flat) for p in range(a1 + b1 + 1)]
+    return tuple(_flat(p, a1, r1) for p in range(a1 + b1 + 1))
 
 
 def _res22_case_i(a1, r1, a2, r2, b1, s1, b2, s2, out):
@@ -261,11 +273,10 @@ def _res22_case_iii_iv(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
     # after p = alpha_1 + ... + alpha_{r1} and q = p + ... + alpha_{r1+s1},
     # the rest the half of x^{a1+a2+b1-q} y^{r2} . x^{b2} y^{s2} on `side`
     firsts = _firsts(a1, b1, r1)
-    flat = [1] * (s1 + 1)
     for q in range(a1 + b1, a1 + a2 + b1 + 1):
         tails = _side(side, a1 + a2 + b1 - q, r2, b2, s2)
         for p in range(a1, a1 + b1 + 1):
-            _emit(out, _join(firsts[p], _lead(q - p, a1 + b1 - p, s1, 0, flat)), tails)
+            _emit(out, _join(firsts[p], _flat(q - p, a1 + b1 - p, s1)), tails)
 
 
 def _res22_case_v(a1, r1, a2, r2, b1, s1, b2, s2, out):
@@ -293,9 +304,8 @@ def _res22_case_vi_vii(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
     tails = [_side(side, a2 - p, r2, b2, s2) for p in range(a2 + 1)]
     for k in range(1, s1):
         heads = _half(a1 + b1, a1, r1 - 1, k, k)
-        flat = [1] * (s1 - k + 1)
         for p in range(a2 + 1):
-            _emit(out, _join(heads, _lead(p, 0, s1 - k, 0, flat)), tails[p])
+            _emit(out, _join(heads, _flat(p, 0, s1 - k)), tails[p])
 
 
 def _res22_case_viii_ix(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
@@ -308,10 +318,9 @@ def _res22_case_viii_ix(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
     ends = [_side(side, a2, r2, b2 - p, s2) for p in range(b2 + 1)]
     for t in range(1, r1):
         mix = r1 - t  # l3
-        flat = [1] * (mix + 1)
         tails = []
         for p in range(b2 + 1):
-            tails += _join(_lead(p, 0, mix, 0, flat), ends[p])
+            tails += _join(_flat(p, 0, mix), ends[p])
         _emit(out, _half(a1 + b1, a1, t, s1 - 1, s1 - 1), tails)
 
 
@@ -364,7 +373,8 @@ def expand_res_2_2(
 # n-fold products x^{a1} y^{r1} . x^{a2} y^{r2} . ... . x^{an} y^{rn}
 
 
-def _x_table(a_seq: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+@lru_cache(maxsize=None)
+def _x_table(a_seq: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The x-factors of one factor ordering, tabulated by the prefix sums
     they read.
 
@@ -385,7 +395,7 @@ def _x_table(a_seq: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
                 add((key + (p,), p, coeff * comb(p - used, a)))
         states = nxt
         used += a
-    return [(key, coeff) for key, _, coeff in states]
+    return tuple((key, coeff) for key, _, coeff in states)
 
 
 def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:

@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import math
 
 import pytest
 
+from mzvshuffle import equivalence, restricted
 from mzvshuffle.combinat import binom
+from mzvshuffle.equivalence import expand_lgm_1_1, expand_lgm_1_2
 from mzvshuffle.lincomb import LinComb
 from mzvshuffle.restricted import (
     MAX_NFOLD,
@@ -18,7 +21,13 @@ from mzvshuffle.restricted import (
     res_2_2_case,
 )
 from mzvshuffle.shuffle import shuffle_nfold, shuffle_recursive
-from mzvshuffle.verify import _pattern_buckets, pattern_cases_1_2, pattern_cases_2_2, run_tuples
+from mzvshuffle.verify import (
+    _nfold_points,
+    _pattern_buckets,
+    pattern_cases_1_2,
+    pattern_cases_2_2,
+    run_tuples,
+)
 from mzvshuffle.words import Word
 
 
@@ -389,3 +398,64 @@ def test_nfold_cap_and_validation():
         expand_nfold_depth1([-1])
     with pytest.raises(ValueError):
         expand_nfold_depth1([0] * (MAX_NFOLD + 1))
+
+
+# ---------------------------------------------------------------------------
+# window caches
+
+
+def test_window_caches_change_no_result(monkeypatch):
+    # every window builder of `restricted` and `equivalence` is cached for the
+    # life of the process and hands one value to every caller, so each value
+    # must be a tuple, and no expansion may depend on which windows an earlier
+    # point left in the caches: the outputs hash the same from cleared caches
+    # at each point, from warm caches and from warm caches in reverse
+    builders = [(restricted, name) for name in
+                ("_half", "_run_tails", "_closed", "_flat", "_firsts", "_x_table")]
+    builders += [(equivalence, "_runs"), (equivalence, "_marked_runs")]
+    cached = [getattr(module, name) for module, name in builders]
+    returned = set()
+
+    def recording(builder):
+        def wrapper(*args):
+            value = builder(*args)
+            inner = value if builder.__name__ == "_firsts" else ()
+            returned.add((builder.__name__, all(isinstance(v, tuple) for v in (value, *inner))))
+            return value
+
+        return wrapper
+
+    for (module, name), builder in zip(builders, cached):
+        monkeypatch.setattr(module, name, recording(builder))
+
+    def nfold(*runs):
+        return expand_nfold(zip(runs[::2], runs[1::2]))
+
+    points = [
+        (expand, point)
+        for expand, grid in [
+            (expand_res_1_1, run_tuples(7, 2)),
+            (expand_res_1_2, run_tuples(7, 3)),
+            (expand_res_2_2, run_tuples(7, 4)),
+            (nfold, _nfold_points(7)),
+            (expand_lgm_1_1, run_tuples(7, 2, 1)),
+            (expand_lgm_1_2, run_tuples(7, 3, 1)),
+        ]
+        for point in grid
+    ]
+
+    def digest(order, clear):
+        outputs = {}
+        for i in order:
+            if clear:
+                for builder in cached:
+                    builder.cache_clear()
+            expand, point = points[i]
+            outputs[i] = expand(*point).render("json")
+        return hashlib.sha256("\n".join(outputs[i] for i in range(len(points))).encode()).hexdigest()
+
+    forward = range(len(points))
+    cold = digest(forward, True)
+    assert digest(forward, False) == cold
+    assert digest(reversed(forward), False) == cold
+    assert returned == {(name, True) for _, name in builders}
