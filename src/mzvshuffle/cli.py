@@ -287,7 +287,8 @@ def _cmd_zeta(args) -> int:
     except (NotAdmissibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    print(f"zeta({args.index.strip()}) = {result.value:.12g} +/- {result.err_est:.3g}")
+    index = ",".join(map(str, ks))
+    print(f"zeta({index}) = {result.value:.12g} +/- {result.err_est:.3g}")
     return EXIT_OK
 
 

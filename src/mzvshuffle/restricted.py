@@ -10,8 +10,9 @@ their sums over the splits (l, K - l) of a y-run, a window of l parts
 followed by zeros up to a fixed width, are taken in another order: each
 composition of the widest window is added once, weighted by the suffix sum
 of the multiplicities of the splits it fits (docs/FORMULA_NOTES.md,
-"Zero-padded tails summed once").  `expand_nfold` sums its last two
-y-compositions the same way.
+"Zero-padded tails summed once").  `expand_nfold` sums its display as one
+walk over the output positions, its state the set of factors pinned so far
+(docs/FORMULA_NOTES.md, "The n-fold display summed in another order").
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Iterable
 
 from .combinat import (
     binom,
-    composition_list,
     distinct_orderings,
     prefix_sums,
     suffix_sums,
@@ -373,46 +373,20 @@ def expand_res_2_2(
 # n-fold products x^{a1} y^{r1} . x^{a2} y^{r2} . ... . x^{an} y^{rn}
 
 
-@lru_cache(maxsize=None)
-def _x_table(a_seq: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The x-factors of one factor ordering, tabulated by the prefix sums
-    they read.
-
-    For x-exponents a_1 ... a_n in that order and A = a_1 + ... + a_n, each
-    nondecreasing (P_1, ..., P_{n-1}) with P_{n-1} <= A is paired with
-    prod_j binom(P_j - (a_1 + ... + a_{j-1}), a_j) where that is nonzero.
-    P_j is walked from max(P_{j-1}, a_1 + ... + a_j), where its factor
-    starts to be nonzero, up to A; every branch reaches a tuple.
-    """
-    total = sum(a_seq)
-    states: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
-    used = 0
-    for a in a_seq[:-1]:
-        nxt = []
-        add = nxt.append
-        for key, prev, coeff in states:
-            for p in range(max(prev, used + a), total + 1):
-                add((key + (p,), p, coeff * comb(p - used, a)))
-        states = nxt
-        used += a
-    return tuple((key, coeff) for key, _, coeff in states)
-
-
 def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
     """Closed form of the n-fold product of single-run words.
 
-    The display sums over positive compositions lc of the total y-count,
-    over the n! orderings of the factors and over the weak compositions
-    alpha of the total x-count.  It is summed here in another order (see
-    FORMULA_NOTES.md): equal factors give equal summands, so each distinct
-    ordering counts once, weighted by the orderings it stands for; the
-    x-factors read alpha only through its prefix sums at n - 1 pinned
-    positions, so they are summed over the orderings in a table keyed by
-    those sums (_x_table); and each alpha is built once per lc_1 ..
-    lc_{n-2} and lc_{n-1} + lc_n, from the segments between the pinned
-    positions, its last window weighted by the suffix sums over lc_{n-1}.
-    Factors that all differ still have n! distinct orderings, so n stays
-    capped at MAX_NFOLD.
+    The display sums over positive compositions l of the total y-count R,
+    the n! orderings of the factors and the weak compositions alpha of the
+    total x-count A.  The factor f it pins at position q = l_1 + ... +
+    l_{j-1} + 1 reads only the set S pinned before it, through its degrees
+    a(S) and r(S): binom(r(S) + r_f - q, r_f - 1) for y and binom(alpha_1 +
+    ... + alpha_q - a(S), a_f) for x.  So the sum is taken as one walk over
+    q = 1 .. R whose state is S (FORMULA_NOTES.md, "The n-fold display
+    summed in another order"); equal factors are pinned in turn, each pin
+    counting once per copy left.  n stays capped at MAX_NFOLD: the states
+    still number 2^n when the factors all differ, and `expand_nfold_depth1`
+    still sums n! orderings.
     """
     pairs = [(a, r) for a, r in pairs]
     if not pairs:
@@ -421,68 +395,43 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
         raise ValueError(f"n-fold expansion is capped at n = {MAX_NFOLD}, got {len(pairs)}")
     for a, r in pairs:
         _check_run(a, r)
-    n = len(pairs)
-    if n == 1:
-        a, r = pairs[0]
-        return LinComb.from_exponents({(a,) + (0,) * (r - 1): 1})
-    big_r = sum(r for _, r in pairs)
+    kinds = sorted(set(pairs))
     big_a = sum(a for a, _ in pairs)
-    orderings, weight = distinct_orderings(pairs)
-    # The y-factors read only the orderings' y-runs, so the x-tables of the
-    # orderings with the same y-runs are summed once, outside the lc loop.
-    by_runs: dict[tuple[int, ...], dict] = {}
-    for perm in orderings:
-        merged = by_runs.setdefault(tuple(r for _, r in perm), {})
-        for key, xcoef in _x_table(tuple(a for a, _ in perm)):
-            merged[key] = merged.get(key, 0) + xcoef
-    runs = [(rs, prefix_sums(rs), list(merged.items())) for rs, merged in by_runs.items()]
+    big_r = sum(r for _, r in pairs)
     out: dict = {}
-    # m = lc_{n-1} + lc_n.  The compositions lc with the same front
-    # lc_1 .. lc_{n-2} and the same m differ only in the window of
-    # c = lc_{n-1} parts at the end of alpha, padded to m - 1 parts with the
-    # lc_n - 1 zeros; each end is added once, weighted by the sum over the c
-    # it fits.  Only the last y-factor, binom(lc_n - 1, r_n - 1), reads c, so
-    # its suffix sums over c are taken once per run order and scaled by each
-    # x-table entry.
-    for m in range(2, big_r - n + 3):
-        for front in composition_list(big_r - m, n - 2):
-            lpre = prefix_sums(front)
-            table: dict = {}
-            for rs, rpre, xtable in runs:
-                # the display's binom(lc_j + ... + lc_n - r_{j+1} - ... -
-                # r_n - 1, r_j - 1) for j < n, its sums taken from the front
-                # since both total R
-                ycoef = weight
-                for j in range(2, n):
-                    ycoef *= binom(rpre[j] - lpre[j - 1] - 1, rs[j - 1] - 1)
-                    if not ycoef:
-                        break
-                if not ycoef:
+    # a state is the copies left of each kind with a(S) and r(S); a node is
+    # the parts placed and their sum, merged as in combinat.binomial_walk
+    states = {(tuple(pairs.count(kind) for kind in kinds), 0, 0): {((), 0): 1}}
+    for q in range(1, big_r + 1):
+        nxt: dict = {}
+        for state, paths in states.items():
+            left, deg_a, deg_r = state
+            # every state here has q <= r(S) + 1, so each pin is nonzero; a
+            # free part, allowed while q <= r(S), is a pin of weight 1 on any x
+            moves = [(state, 0, 1)] if q <= deg_r else []
+            for k, (a, r) in enumerate(kinds):
+                copies = left[k]
+                if not copies:
                     continue
-                ysuf = suffix_sums([0] + [binom(m - c - 1, rs[-1] - 1) for c in range(1, m)])
-                if not ysuf[0]:
-                    continue
-                for key, xcoef in xtable:
-                    coeff = ycoef * xcoef
-                    sums = table.get(key)
-                    if sums is None:
-                        table[key] = [coeff * y for y in ysuf]
-                    else:
-                        table[key] = [t + coeff * y for t, y in zip(sums, ysuf)]
-            # alpha = (P_1,) + a weak composition of P_{j+1} - P_j into lc_j
-            # parts for j = 1 .. n-1, with P_n = A; then lc_n - 1 zeros
-            for key, suffix in table.items():
-                heads = [key[:1]]
-                for parts, lo, hi in zip(front, key, key[1:]):
-                    segment = weak_composition_list(hi - lo, parts)
-                    heads = [head + seg for head in heads for seg in segment]
-                for end, last in weak_compositions_with_last(big_a - key[-1], m - 1):
-                    coeff = suffix[last]
-                    if not coeff:
-                        continue
-                    for head in heads:
-                        exps = head + end
-                        out[exps] = out.get(exps, 0) + coeff
+                ycoef = copies * comb(deg_r + r - q, r - 1)
+                if deg_r + r == big_r:
+                    tail = (0,) * (big_r - q)
+                    for (w, used), coeff in paths.items():
+                        exps = w + (big_a - used,) + tail
+                        out[exps] = out.get(exps, 0) + ycoef * coeff
+                else:
+                    rest = left[:k] + (copies - 1,) + left[k + 1 :]
+                    moves.append(((rest, deg_a + a, deg_r + r), a, ycoef))
+            for new, a, ycoef in moves:
+                dest = nxt.setdefault(new, {})
+                low = deg_a + a
+                for (w, used), coeff in paths.items():
+                    coeff *= ycoef
+                    for x in range(low - used if low > used else 0, big_a - used + 1):
+                        key = (w + (x,), used + x)
+                        term = coeff * comb(used + x - deg_a, a) if a else coeff
+                        dest[key] = dest.get(key, 0) + term
+        states = nxt
     return LinComb.from_exponents(out)
 
 

@@ -9,8 +9,8 @@ import time
 
 from mzvshuffle.closed_form import expand_general
 from mzvshuffle.lincomb import LinComb
-from mzvshuffle.restricted import expand_res_1_1
-from mzvshuffle.shuffle import shuffle_permutation, shuffle_recursive
+from mzvshuffle.restricted import expand_nfold, expand_res_1_1
+from mzvshuffle.shuffle import shuffle_nfold, shuffle_permutation, shuffle_recursive
 from mzvshuffle.words import Word
 from mzvshuffle import verify
 from test_combinat import vandermonde_check
@@ -109,6 +109,17 @@ def test_nfold_suite_bound_10():
     report = verify.run_suite("nfold", 10)
     ok = _suite_ok(report, 30) and report.checked == 2211
     _report("nfold<=10", ok, _suite_detail([report]))
+
+
+def test_nfold_seven_distinct_factors():
+    # 5,040 orderings, no two alike: the walk over the 128 sets of factors
+    # pinned takes about 0.5 s on a 2-core x86 box
+    pairs = [(0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (2, 1), (0, 4)]
+    start = time.perf_counter()
+    got = expand_nfold(pairs)
+    elapsed = time.perf_counter() - start
+    ok = got == shuffle_nfold([Word("x" * a + "y" * r) for a, r in pairs]) and elapsed <= 5
+    _report("nfold-seven-distinct", ok, f"{len(got.items())} terms, {elapsed:.2f}s")
 
 
 def test_appendix_equivalences():

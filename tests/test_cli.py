@@ -309,6 +309,10 @@ def test_zeta_command(capsys):
     code, out, _ = run_cli(capsys, "zeta", "2")
     assert code == 0
     assert out == "zeta(2) = 1.64493406685 +/- 1.11e-16\n"  # pi^2/6 = 1.6449340668482...
+    # the parsed index is echoed, not the text as typed
+    code, out, _ = run_cli(capsys, "zeta", " 3 , 1 ")
+    assert code == 0
+    assert out == "zeta(3,1) = 0.270580808428 +/- 2.78e-17\n"
 
 
 def test_zeta_terms_do_not_change_the_answer(capsys):

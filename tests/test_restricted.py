@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 
 import pytest
 
@@ -11,7 +10,6 @@ from mzvshuffle.lincomb import LinComb
 from mzvshuffle.restricted import (
     MAX_NFOLD,
     _half,
-    _x_table,
     expand_nfold,
     expand_nfold_depth1,
     expand_res_1_1,
@@ -358,18 +356,16 @@ def test_nfold_ignores_the_order_of_its_factors():
         assert expand_nfold(perm) == want, perm
 
 
-def test_x_table_is_the_nonzero_x_factors():
-    for a_seq in [(0, 0), (2, 1), (1, 0, 2), (0, 2, 0, 1), (2, 2, 2)]:
-        total, n = sum(a_seq), len(a_seq)
-        want = {}
-        for key in itertools.combinations_with_replacement(range(total + 1), n - 1):
-            coeff = math.prod(
-                binom(key[j] - sum(a_seq[:j]), a_seq[j]) for j in range(n - 1)
-            )
-            if coeff:
-                want[key] = coeff
-        got = _x_table(a_seq)
-        assert dict(got) == want and len(got) == len(want), a_seq
+@pytest.mark.parametrize("n", [4, 5])
+def test_nfold_matches_oracle_on_every_point_to_bound_9(n):
+    # the nfold sweep covers n = 2 and 3; these are the 2,288 points of
+    # n = 4 and 5 at its bound, where the walk's states branch most
+    checked = 0
+    for runs in run_tuples(9, n):
+        pairs = list(zip(runs[::2], runs[1::2]))
+        assert expand_nfold(pairs) == shuffle_nfold([run_word(a, r) for a, r in pairs]), pairs
+        checked += 1
+    assert checked == {4: 1287, 5: 1001}[n]
 
 
 def test_nfold_depth1():
@@ -411,7 +407,7 @@ def test_window_caches_change_no_result(monkeypatch):
     # point left in the caches: the outputs hash the same from cleared caches
     # at each point, from warm caches and from warm caches in reverse
     builders = [(restricted, name) for name in
-                ("_half", "_run_tails", "_closed", "_flat", "_firsts", "_x_table")]
+                ("_half", "_run_tails", "_closed", "_flat", "_firsts")]
     builders += [(equivalence, "_runs"), (equivalence, "_marked_runs")]
     cached = [getattr(module, name) for module, name in builders]
     returned = set()
