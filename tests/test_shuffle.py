@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from mzvshuffle.combinat import binom
 from mzvshuffle.lincomb import LinComb
+from mzvshuffle.shuffle import _SPLIT_LETTERS, _join_at
 from mzvshuffle.shuffle import shuffle_nfold, shuffle_permutation, shuffle_recursive
 from mzvshuffle.words import EMPTY_WORD, Word
 
@@ -114,3 +116,26 @@ def test_subalgebra_closure():
         for v in h0:
             for w, _ in shuffle_recursive(u, v).items():
                 assert w.is_admissible
+
+
+def test_join_at_every_diagonal():
+    # no sweep grid reaches the split size, so the join is tested at every
+    # cut of every pair up to 8 letters (up to 10 takes seconds)
+    for total in range(9):
+        for bits in itertools.product("xy", repeat=total):
+            letters = "".join(bits)
+            for n in range(total + 1):
+                u, v = letters[:n], letters[n:]
+                want = shuffle_permutation(Word(u), Word(v))
+                for h in range(total + 1):
+                    assert LinComb._adopt(_join_at(u, v, h)) == want, (u, v, h)
+
+
+def test_recursive_equals_permutation_past_the_split():
+    rng = random.Random("past-the-split")
+    for _ in range(40):
+        total = rng.randint(_SPLIT_LETTERS + 1, 18)
+        n = rng.randint(1, total - 1)
+        u = Word("".join(rng.choice("xy") for _ in range(n)))
+        v = Word("".join(rng.choice("xy") for _ in range(total - n)))
+        assert shuffle_recursive(u, v) == shuffle_permutation(u, v), (u, v)
