@@ -39,7 +39,7 @@ import itertools
 import math
 from typing import Iterable
 
-from .combinat import binom, binomial_walk, composition_list, prefix_sums
+from .combinat import binom, binomial_walk, compositions, prefix_sums
 from .lincomb import LinComb
 from .words import _check_exponents
 
@@ -121,11 +121,11 @@ def coeff_general(alphas: Iterable[int], a: Iterable[int], b: Iterable[int]) -> 
     total = 0
     for first, second in ((a, b), (b, a)):
         for p in range(1, len(first) + 1):
-            for lc in composition_list(len(first), p):
+            for lc in compositions(len(first), p):
                 # the shape ends with a first-side block (p - 1 second-side
                 # blocks) or with a second-side block (p of them)
                 for q in (p - 1, p):
-                    for nc in composition_list(len(second), q):
+                    for nc in compositions(len(second), q):
                         betas = beta_sequence(lc, nc, alphas, first, second)
                         free = len(alphas) - (nc[-1] if q == p else lc[-1])
                         if alphas[free + 1 :] == betas[free + 1 :]:

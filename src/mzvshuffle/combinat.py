@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterator
 
 
 def binom(n: int, k: int) -> int:
@@ -19,45 +18,29 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
+@lru_cache(maxsize=None)
+def weak_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order."""
     if total < 0 or parts < 0:
         raise ValueError("total and parts must be nonnegative")
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        out = []
-        for cut in cuts:
-            out.append(cut - prev - 1)
-            prev = cut
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if total < parts:
-        return
-    for weak in weak_compositions(total - parts, parts):
-        yield tuple(w + 1 for w in weak)
+        return ((),) if total == 0 else ()
+    # each choice of parts - 1 cuts among total + parts - 1 slots, in order
+    slots = total + parts - 1
+    return tuple(
+        tuple(hi - lo - 1 for lo, hi in itertools.pairwise((-1, *cuts, slots)))
+        for cuts in itertools.combinations(range(slots), parts - 1)
+    )
 
 
 @lru_cache(maxsize=None)
-def weak_composition_list(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(weak_compositions(total, parts))
-
-
-def weak_composition_list_any(max_total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions into `parts` parts of every total from 0 to max_total."""
-    for total in range(max_total + 1):
-        yield from weak_composition_list(total, parts)
+def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
+    """All tuples of `parts` positive integers summing to `total`, in
+    lexicographic order."""
+    if total < parts:
+        return ()
+    return tuple(tuple(w + 1 for w in weak) for weak in weak_compositions(total - parts, parts))
 
 
 @lru_cache(maxsize=None)
@@ -74,17 +57,12 @@ def weak_compositions_with_last(
     tails summed once").  Callers append any further zeros themselves, so
     each composition is stored once whatever the padding."""
     out = []
-    for comp in weak_composition_list(total, parts):
+    for comp in weak_compositions(total, parts):
         last = parts
         while last and not comp[last - 1]:
             last -= 1
         out.append((comp, last))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def composition_list(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(compositions(total, parts))
 
 
 def binomial_walk(out: dict, graph: dict, total: int) -> int:
@@ -145,29 +123,6 @@ def binomial_walk(out: dict, graph: dict, total: int) -> int:
                     key = (w + (x,), used + x) if tail is None else w + (x, top - used - x) + pinned
                     dest[key] = dest.get(key, 0) + (coeff * comb(x, beta) if beta else coeff)
     return walked
-
-
-def distinct_orderings(items) -> tuple[list[tuple], int]:
-    """Each distinct ordering of the multiset `items` once, in lexicographic
-    order, and how many of the len(items)! orderings each one stands for:
-    the product of the factorials of the multiplicities."""
-    seq = sorted(items)
-    n = len(seq)
-    out = []
-    while True:
-        out.append(tuple(seq))
-        # the next ordering in lexicographic order; equal items never swap
-        i = n - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            break
-        j = n - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1 :] = reversed(seq[i + 1 :])
-    return out, math.factorial(n) // len(out)
 
 
 def suffix_sums(seq) -> list[int]:

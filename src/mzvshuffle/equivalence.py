@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb  # for binomials whose 0 <= k <= n always holds
 from typing import Iterable
 
-from .combinat import binom, suffix_sums, weak_composition_list, weak_compositions_with_last
+from .combinat import binom, suffix_sums, weak_compositions, weak_compositions_with_last
 from .lincomb import LinComb
 from .restricted import expand_res_1_1, expand_res_1_2
 
@@ -124,7 +124,7 @@ def _lgm12_sum2(a, r, b1, s1, b2, s2, out):
             _emit(out, _raised(_marked_runs(a2, r1, s1), a1 + b1), tails[r - r1], m1)
         # r1 = 0, l = s1: the y-run after x^{alpha_{s1+1} + 1} is empty, so
         # those x's join the first block of the tail
-        for al in weak_composition_list(a2, s1 + 1):
+        for al in weak_compositions(a2, s1 + 1):
             head = (al[0] + a1 + b1,) + al[1:-1]
             carry = al[-1] + 1
             for t, c in tails[r]:
@@ -142,7 +142,7 @@ def _lgm12_sum3(a, r, b1, s1, b2, s2, out):
                 m1 = binom(a1 + b1 - 1, b1 - 1) * binom(a3 + k - 1, k - 1)
                 if not m1:
                     continue
-                for al in weak_composition_list(a2, s1 + 1):
+                for al in weak_compositions(a2, s1 + 1):
                     head = (al[0] + a1 + b1,) + al[1:-1]
                     # the merged run x^{alpha_{s1+1} + atilde_1 + a3 + k + 1};
                     # at r1 = 0 it takes the whole tail y-run (see
@@ -162,7 +162,7 @@ def _lgm12_sum4(a, r, b1, s1, b2, s2, out):
             if not m2:
                 continue
             for a2 in range(0, a - a1 - a3):
-                heads = _raised([(al, 1) for al in weak_composition_list(a2, s1)], a1 + b1)
+                heads = _raised([(al, 1) for al in weak_compositions(a2, s1)], a1 + b1)
                 tails = _raised(_marked_runs(a - 1 - a1 - a3 - a2, r, s2), a3 + b2)
                 _emit(out, heads, tails, m2)
 

@@ -12,7 +12,8 @@ composition of the widest window is added once, weighted by the suffix sum
 of the multiplicities of the splits it fits (docs/FORMULA_NOTES.md,
 "Zero-padded tails summed once").  `expand_nfold` sums its display as one
 walk over the output positions, its state the set of factors pinned so far
-(docs/FORMULA_NOTES.md, "The n-fold display summed in another order").
+(docs/FORMULA_NOTES.md, "The n-fold display summed in another order"), and
+`expand_nfold_depth1` its depth-1 display by a walk of its own.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from functools import lru_cache, partial
 from math import comb  # for binomials whose 0 <= k <= n always holds
 from typing import Iterable
 
-from .combinat import (
-    binom,
-    distinct_orderings,
-    prefix_sums,
-    suffix_sums,
-    weak_composition_list,
-    weak_compositions_with_last,
-)
+from .combinat import suffix_sums, weak_compositions_with_last
 from .lincomb import LinComb
 
 MAX_NFOLD = 8
@@ -384,9 +378,7 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
     ... + alpha_q - a(S), a_f) for x.  So the sum is taken as one walk over
     q = 1 .. R whose state is S (FORMULA_NOTES.md, "The n-fold display
     summed in another order"); equal factors are pinned in turn, each pin
-    counting once per copy left.  n stays capped at MAX_NFOLD: the states
-    still number 2^n when the factors all differ, and `expand_nfold_depth1`
-    still sums n! orderings.
+    counting once per copy left.
     """
     pairs = [(a, r) for a, r in pairs]
     if not pairs:
@@ -436,31 +428,47 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
 
 
 def expand_nfold_depth1(exps: Iterable[int]) -> LinComb:
-    """n-fold product with all y-runs of length one.
+    """Closed form of the n-fold product of the words x^{a_i} y.
 
-    Equal exponents give equal summands, so each distinct ordering is summed
-    once, weighted by the orderings it stands for."""
-    exps = tuple(exps)
+    The display sums over the orderings sigma of the factors and the weak
+    compositions alpha of A = a_1 + ... + a_n into n parts the product over
+    j < n of binom(alpha_1 + ... + alpha_j - a_sigma(1) - ... -
+    a_sigma(j-1), a_sigma(j)): `expand_nfold`'s display with every r_i = 1.
+    It is summed as its own walk over j = 1 .. n, its state the copies left
+    of each exponent and the degree a(S) pinned so far; each pin counts once
+    per copy left, and the last part takes the x's left (FORMULA_NOTES.md,
+    "The depth-1 n-fold display").
+    """
+    exps = list(exps)
     if not exps:
         raise ValueError("need at least one factor")
     if len(exps) > MAX_NFOLD:
         raise ValueError(f"n-fold expansion is capped at n = {MAX_NFOLD}, got {len(exps)}")
     for a in exps:
         _check_run(a, 1)
-    n = len(exps)
-    orderings, weight = distinct_orderings(exps)
-    ordered = [(perm, prefix_sums(perm)) for perm in orderings]
+    kinds = sorted(set(exps))
+    big_a = sum(exps)
+    # a node is the parts placed and their sum, merged as in expand_nfold
+    states = {(tuple(exps.count(a) for a in kinds), 0): {((), 0): 1}}
+    for _ in range(len(exps) - 1):
+        nxt: dict = {}
+        for (left, deg_a), paths in states.items():
+            for k, a in enumerate(kinds):
+                copies = left[k]
+                if not copies:
+                    continue
+                low = deg_a + a
+                dest = nxt.setdefault((left[:k] + (copies - 1,) + left[k + 1 :], low), {})
+                for (w, used), coeff in paths.items():
+                    coeff *= copies
+                    for x in range(low - used if low > used else 0, big_a - used + 1):
+                        key = (w + (x,), used + x)
+                        term = coeff * comb(used + x - deg_a, a) if a else coeff
+                        dest[key] = dest.get(key, 0) + term
+        states = nxt
     out: dict = {}
-    for alphas in weak_composition_list(sum(exps), n):
-        alpre = prefix_sums(alphas)
-        coeff = 0
-        for perm, apre in ordered:
-            prod = weight
-            for j in range(1, n):
-                prod *= binom(alpre[j] - apre[j - 1], perm[j - 1])
-                if not prod:
-                    break
-            coeff += prod
-        if coeff:
-            out[alphas] = coeff
+    for paths in states.values():
+        for (w, used), coeff in paths.items():
+            key = w + (big_a - used,)
+            out[key] = out.get(key, 0) + coeff
     return LinComb.from_exponents(out)

@@ -29,7 +29,7 @@ from .closed_form import (
     expand_1_s,
     expand_general,
 )
-from .combinat import binom, weak_composition_list, weak_composition_list_any
+from .combinat import binom, weak_compositions
 from .lincomb import LinComb
 from .restricted import (
     expand_nfold,
@@ -100,7 +100,7 @@ def h1_exponent_forms(max_total: int):
     """Exponent forms of all nonempty words ending in y, length <= max_total."""
     for length in range(1, max_total + 1):
         for depth in range(1, length + 1):
-            yield from weak_composition_list(length - depth, depth)
+            yield from weak_compositions(length - depth, depth)
 
 
 def words_of_length(length: int):
@@ -149,11 +149,13 @@ def _specialization_points(bound: int):
             yield "expand_euler", (a, b), (a,), (b,)
     for s in range(1, bound - 1):
         for a in range(bound - 1 - s):
-            for eb in weak_composition_list_any(bound - 1 - s - a, s):
-                yield "expand_1_s", (a, eb), (a,), eb
+            for total in range(bound - s - a):
+                for eb in weak_compositions(total, s):
+                    yield "expand_1_s", (a, eb), (a,), eb
     for r, s in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
-        for exps in weak_composition_list_any(bound - r - s, r + s):
-            yield f"expand_{r}_{s}", exps, exps[:r], exps[r:]
+        for total in range(bound - r - s + 1):
+            for exps in weak_compositions(total, r + s):
+                yield f"expand_{r}_{s}", exps, exps[:r], exps[r:]
 
 
 def _nfold_points(bound: int):

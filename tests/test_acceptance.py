@@ -9,7 +9,7 @@ import time
 
 from mzvshuffle.closed_form import expand_general
 from mzvshuffle.lincomb import LinComb
-from mzvshuffle.restricted import expand_nfold, expand_res_1_1
+from mzvshuffle.restricted import expand_nfold, expand_nfold_depth1, expand_res_1_1
 from mzvshuffle.shuffle import shuffle_nfold, shuffle_permutation, shuffle_recursive
 from mzvshuffle.words import Word
 from mzvshuffle import verify
@@ -120,6 +120,21 @@ def test_nfold_seven_distinct_factors():
     elapsed = time.perf_counter() - start
     ok = got == shuffle_nfold([Word("x" * a + "y" * r) for a, r in pairs]) and elapsed <= 5
     _report("nfold-seven-distinct", ok, f"{len(got.items())} terms, {elapsed:.2f}s")
+
+
+def test_nfold_depth1_six_distinct_exponents():
+    # y . xy . x^2 y ... x^5 y (11,961 words), past the sweep grid: the
+    # depth-1 walk against the oracle and against expand_nfold; the walk
+    # takes about 0.3 s on a 2-core x86 box
+    start = time.perf_counter()
+    got = expand_nfold_depth1(range(6))
+    elapsed = time.perf_counter() - start
+    ok = (
+        got == shuffle_nfold([Word("x" * a + "y") for a in range(6)])
+        and got == expand_nfold([(a, 1) for a in range(6)])
+        and elapsed <= 5
+    )
+    _report("nfold-depth1-six-distinct", ok, f"{len(got.items())} terms, {elapsed:.2f}s")
 
 
 def test_appendix_equivalences():

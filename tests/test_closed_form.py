@@ -16,7 +16,7 @@ from mzvshuffle.closed_form import (
     expand_general,
     gamma_sequence,
 )
-from mzvshuffle.combinat import binom, weak_composition_list
+from mzvshuffle.combinat import binom, weak_compositions
 from mzvshuffle.equivalence import expand_lgm_1_1, expand_lgm_1_2
 from mzvshuffle.lincomb import LinComb
 from mzvshuffle.restricted import (
@@ -27,13 +27,8 @@ from mzvshuffle.restricted import (
     expand_res_2_2,
 )
 from mzvshuffle.shuffle import shuffle_recursive
+from mzvshuffle.verify import h1_exponent_forms
 from mzvshuffle.words import Word, from_exponent_form
-
-
-def h1_forms(max_total):
-    for length in range(1, max_total + 1):
-        for depth in range(1, length + 1):
-            yield from weak_composition_list(length - depth, depth)
 
 
 def oracle(ea, eb):
@@ -47,7 +42,7 @@ def oracle(ea, eb):
 def test_beta_depth_one_each():
     # single block each: beta_1 = a_1, beta_2 = a_1 + b_1 - alpha_1
     a, b = (3,), (2,)
-    for alphas in weak_composition_list(5, 2):
+    for alphas in weak_compositions(5, 2):
         assert beta_sequence((1,), (1,), alphas, a, b) == (3, 5 - alphas[0])
 
 
@@ -61,13 +56,13 @@ def test_beta_leading_block_is_plain_a():
 def test_gamma_depth_one_each():
     # the mirror of the double-block case: gamma_1 = b_1
     a, b = (3,), (2,)
-    for alphas in weak_composition_list(5, 2):
+    for alphas in weak_compositions(5, 2):
         assert gamma_sequence((1,), (1,), alphas, a, b) == (2, 5 - alphas[0])
 
 
 def test_gamma_is_role_swapped_beta():
     a, b = (1, 2), (2, 0)
-    for alphas in weak_composition_list(5, 4):
+    for alphas in weak_compositions(5, 4):
         for lc, nc in (((2,), (1, 1)), ((2,), (2,)), ((1, 1), (1, 1))):
             assert gamma_sequence(lc, nc, alphas, a, b) == beta_sequence(
                 nc, lc, alphas, b, a
@@ -104,7 +99,7 @@ def test_coeff_general_euler_instance():
 def test_coeff_general_depth_one_is_euler():
     for a in range(4):
         for b in range(4):
-            for alphas in weak_composition_list(a + b, 2):
+            for alphas in weak_compositions(a + b, 2):
                 assert coeff_general(alphas, (a,), (b,)) == binom(alphas[0], a) + binom(
                     alphas[0], b
                 )
@@ -130,20 +125,20 @@ def test_expand_general_depth_two_against_oracle():
 
 
 def test_expand_general_oracle_sweep():
-    for ea in h1_forms(4):
+    for ea in h1_exponent_forms(4):
         la = sum(ea) + len(ea)
-        for eb in h1_forms(7 - la):
+        for eb in h1_exponent_forms(7 - la):
             assert expand_general(ea, eb) == oracle(ea, eb)
 
 
 def test_expand_general_walk_matches_coeff_general():
     # the walk over nonzero chains against the per-coefficient evaluation of
     # the same display at every weak composition of the x-degree
-    for ea in h1_forms(6):
+    for ea in h1_exponent_forms(6):
         la = sum(ea) + len(ea)
-        for eb in h1_forms(7 - la):
+        for eb in h1_exponent_forms(7 - la):
             want = {}
-            for alphas in weak_composition_list(sum(ea) + sum(eb), len(ea) + len(eb)):
+            for alphas in weak_compositions(sum(ea) + sum(eb), len(ea) + len(eb)):
                 coeff = coeff_general(alphas, ea, eb)
                 if coeff:
                     want[from_exponent_form(alphas)] = coeff
@@ -167,8 +162,8 @@ def test_expand_general_y_only_pairs():
 
 
 def test_expand_general_symmetry():
-    for ea in h1_forms(3):
-        for eb in h1_forms(3):
+    for ea in h1_exponent_forms(3):
+        for eb in h1_exponent_forms(3):
             assert expand_general(ea, eb) == expand_general(eb, ea)
 
 
@@ -204,7 +199,7 @@ def test_expand_1_s_examples():
 def test_expand_1_s_oracle_sweep():
     for a in range(4):
         for s in range(1, 4):
-            for eb in weak_composition_list(7 - a - 1 - s, s):
+            for eb in weak_compositions(7 - a - 1 - s, s):
                 assert expand_1_s(a, eb) == oracle((a,), eb)
 
 
@@ -225,14 +220,14 @@ def test_expand_1_s_oracle_sweep():
 def test_expand_small_oracle_sweep(fn, r, s):
     budget = 8 - r - s
     for total in range(max(budget, 0) + 1):
-        for exps in weak_composition_list(total, r + s):
+        for exps in weak_compositions(total, r + s):
             assert fn(*exps) == oracle(exps[:r], exps[r:])
 
 
 def test_expand_1_s_matches_general():
     for a in range(4):
         for s in range(1, 4):
-            for eb in weak_composition_list(8 - a - 1 - s, s):
+            for eb in weak_compositions(8 - a - 1 - s, s):
                 assert expand_1_s(a, eb) == expand_general((a,), eb)
 
 
@@ -249,7 +244,7 @@ def test_expand_1_s_matches_general():
 def test_expand_small_matches_general(fn, r, s):
     budget = 9 - r - s
     for total in range(max(budget, 0) + 1):
-        for exps in weak_composition_list(total, r + s):
+        for exps in weak_compositions(total, r + s):
             assert fn(*exps) == expand_general(exps[:r], exps[r:])
 
 
@@ -295,7 +290,7 @@ def test_expand_2_3_printed_a4_reading_fails():
     # expand_2_3 implements) does not
     def with_a2_reading(a1, a2, b1, b2, b3):
         out = {}
-        for al in weak_composition_list(a1 + a2 + b1 + b2 + b3, 5):
+        for al in weak_compositions(a1 + a2 + b1 + b2 + b3, 5):
             mixed = binom(al[1], a1 + b1 - al[0])
             coeff = (
                 (binom(al[0], a1) * binom(al[1], a2) if al[3] == b2 and al[4] == b3 else 0)
@@ -315,7 +310,7 @@ def test_expand_2_3_printed_a4_reading_fails():
 
     mismatches = 0
     for total in range(3):
-        for exps in weak_composition_list(total, 5):
+        for exps in weak_compositions(total, 5):
             want = oracle(exps[:2], exps[2:])
             assert expand_2_3(*exps) == want
             if with_a2_reading(*exps) != want:

@@ -5,7 +5,6 @@ from mzvshuffle.combinat import (
     binom,
     binomial_walk,
     compositions,
-    distinct_orderings,
     prefix_sums,
     suffix_sums,
     weak_compositions,
@@ -65,6 +64,17 @@ def test_compositions():
     combos = list(compositions(6, 3))
     assert len(combos) == math.comb(5, 2)
     assert all(min(c) >= 1 and sum(c) == 6 for c in combos)
+
+
+def test_compositions_in_lexicographic_order_against_brute_force():
+    # `_lead`, the sweep grids and the appendix sums iterate in this order
+    for total in range(7):
+        for parts in range(7):
+            tuples = list(itertools.product(range(total + 1), repeat=parts))
+            weak = [w for w in tuples if sum(w) == total]
+            assert weak_compositions(total, parts) == tuple(weak), (total, parts)
+            positive = tuple(w for w in weak if all(w))
+            assert compositions(total, parts) == positive, (total, parts)
 
 
 def test_prefix_sums():
@@ -154,10 +164,3 @@ def test_binomial_walk_of_a_trie_sums_its_chains():
         assert want
         assert _walk_terms(terms, total) == LinComb.from_exponents(want), total
 
-
-def test_distinct_orderings():
-    for items in [(1,), (2, 1), (1, 1, 1), (0, 1, 0, 2), ((2, 1), (1, 1), (2, 1)), "abcab"]:
-        orderings, weight = distinct_orderings(items)
-        assert orderings == sorted(set(itertools.permutations(items)))
-        assert weight * len(orderings) == math.factorial(len(items))
-    assert distinct_orderings([(2, 1)] * 5) == ([((2, 1),) * 5], 120)

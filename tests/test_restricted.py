@@ -359,13 +359,18 @@ def test_nfold_ignores_the_order_of_its_factors():
 @pytest.mark.parametrize("n", [4, 5])
 def test_nfold_matches_oracle_on_every_point_to_bound_9(n):
     # the nfold sweep covers n = 2 and 3; these are the 2,288 points of
-    # n = 4 and 5 at its bound, where the walk's states branch most
-    checked = 0
+    # n = 4 and 5 at its bound, where the walk's states branch most, and
+    # as in the sweep expand_nfold_depth1 on the 252 with every r = 1
+    checked = depth1 = 0
     for runs in run_tuples(9, n):
         pairs = list(zip(runs[::2], runs[1::2]))
-        assert expand_nfold(pairs) == shuffle_nfold([run_word(a, r) for a, r in pairs]), pairs
+        want = shuffle_nfold([run_word(a, r) for a, r in pairs])
+        assert expand_nfold(pairs) == want, pairs
+        if all(r == 1 for _, r in pairs):
+            assert expand_nfold_depth1([a for a, _ in pairs]) == want, pairs
+            depth1 += 1
         checked += 1
-    assert checked == {4: 1287, 5: 1001}[n]
+    assert (checked, depth1) == {4: (1287, 126), 5: (1001, 126)}[n]
 
 
 def test_nfold_depth1():
