@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 from math import comb  # for binomials whose 0 <= k <= n always holds
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .combinat import suffix_sums, weak_compositions_with_last
 from .lincomb import LinComb
@@ -74,14 +74,13 @@ def _sum_cases(cases: Iterable, *calls: tuple[int, ...]) -> LinComb:
 # splits it fits (docs/FORMULA_NOTES.md, "Zero-padded tails summed once").
 # A window whose parts carry binomials at pinned positions is cut there into
 # segments, each with its first part pinned, and the loops run over the
-# segments' sums; 2x2 case i filters its window by its one further pin
-# instead, which is faster on these small windows.  Each window builder is a
-# pure function of a few run parameters, cached for the life of the process;
-# its value is a tuple, so no caller can change a shared window
-# (docs/FORMULA_NOTES.md, "Windows built once per process").
+# segments' sums.  Each window builder is a pure function of a few run
+# parameters, cached for the life of the process; its value is a tuple, so
+# no caller can change a shared window (docs/FORMULA_NOTES.md, "Windows
+# built once per process").
 
 
-def _lead(total: int, low: int, width: int, pad: int, suffix: list[int]) -> list:
+def _lead(total: int, low: int, width: int, pad: int, suffix: list[int]) -> tuple:
     """The weak compositions of `total` into `width` parts whose first part
     carries binom(part, low), each followed by `pad` zeros and weighted
     suffix[last] for its last nonzero part `last`, as (exps, coeff).
@@ -90,11 +89,11 @@ def _lead(total: int, low: int, width: int, pad: int, suffix: list[int]) -> list
     windows of k parts, zero-padded to `width`; low = 0 gives plain windows,
     and a suffix of ones a window of fixed width (`_flat`)."""
     zeros = (0,) * pad
-    return [
+    return tuple(
         (w + zeros, comb(w[0], low) * suffix[last])
         for w, last in weak_compositions_with_last(total, width)
         if w[0] >= low and suffix[last]
-    ]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -103,53 +102,51 @@ def _run_tails(total: int, runs: int, s: int) -> tuple:
     y^{runs - j + s} over the weak compositions w of `total` into j + 1
     parts: the splits of a run of `runs` y's before a run of s y's."""
     suffix = suffix_sums([0] + [comb(runs - j + s - 1, s - 1) for j in range(runs + 1)])
-    return tuple(_lead(total, 0, runs + 1, s - 1, suffix))
+    return _lead(total, 0, runs + 1, s - 1, suffix)
 
 
 @lru_cache(maxsize=None)
-def _half(total: int, low: int, r: int, s: int, pad: int) -> tuple:
-    """The words of x^low y^r . x^(total - low) y^s whose first y comes from
-    y^r, as (exps, coeff): a word with l leading y's from y^r is a window of
-    l + 1 parts of `total`, its first part carrying binom(part, low), weighted
+def _half(a: int, r: int, b: int, s: int, pad: int) -> tuple:
+    """The words of x^a y^r . x^b y^s whose first y comes from y^r, as (exps,
+    coeff): a word with l leading y's from y^r is a window of l + 1 parts of
+    a + b, its first part carrying binom(part, a), weighted
     _inner_shuffles(r - l, s - 1) (binom(r + s - l - 1, r - l) for s >= 1),
     the l loop summed at once; `pad` zeros follow the window of r + 1 parts
     (docs/FORMULA_NOTES.md, "The 1x1 half")."""
     suffix = suffix_sums([0, 0] + [_inner_shuffles(r - l, s - 1) for l in range(1, r + 1)])
-    return tuple(_lead(total, low, r + 1, pad, suffix))
+    return _lead(a + b, a, r + 1, pad, suffix)
 
 
-def _side(side: int, xu: int, r: int, xv: int, s: int) -> tuple:
+def _side(side: int, xu: int, r: int, xv: int, s: int, more: int = 0) -> tuple:
     """The half of x^xu y^r . x^xv y^s whose first y comes from y^r (side 0)
-    or from y^s (side 1), ending the word."""
+    or from y^s (side 1), padded to end the word (more = 0) or to be closed
+    by one more y (more = 1)."""
     if side:
-        return _half(xu + xv, xv, s, r, r - 1)
-    return _half(xu + xv, xu, r, s, s - 1)
+        return _half(xv, s, xu, r, r - 1 + more)
+    return _half(xu, r, xv, s, s - 1 + more)
 
 
 @lru_cache(maxsize=None)
 def _closed(total: int, width: int, pad: int) -> tuple:
     """The windows of j = 1 .. width parts of `total`, then width - j + pad
     zeros, weighted binom(width - j + pad - 1, pad - 1), the j loop summed at
-    once: the window its own prefix closes in 2x2 cases v and x."""
-    suffix = suffix_sums([0] + [comb(width - j + pad - 1, pad - 1) for j in range(1, width + 1)])
-    return tuple(_lead(total, 0, width, pad, suffix))
+    once: the window its own prefix closes in 2x2 cases v and x, the splits
+    of width - 1 y's before pad y's with one more zero."""
+    return tuple((w + (0,), c) for w, c in _run_tails(total, width - 1, pad))
 
 
 @lru_cache(maxsize=None)
 def _flat(total: int, low: int, width: int) -> tuple:
     """The weak compositions of `total` into `width` parts, the first carrying
     binom(part, low): a flat segment of a window cut at its pinned parts."""
-    return tuple(_lead(total, low, width, 0, [1] * (width + 1)))
+    return _lead(total, low, width, 0, [1] * (width + 1))
 
 
 def _join(heads: list, tails: list) -> list:
     return [(h + t, c * d) for h, c in heads for t, d in tails]
 
 
-_EMPTY = [((), 1)]
-
-
-def _emit(out: dict, heads: list, tails: list = _EMPTY) -> None:
+def _emit(out: dict, heads: Sequence, tails: Sequence = (((), 1),)) -> None:
     """Add each h + t with coefficient c * d, over the (h, c) of `heads` and
     the (t, d) of `tails`; with no tails, the heads alone."""
     for h, c in heads:
@@ -167,27 +164,20 @@ def expand_res_1_1(a: int, r: int, b: int, s: int) -> LinComb:
 
 
 def _res_1_1_half(a, r, b, s, out):
-    _emit(out, _half(a + b, a, r, s, s - 1))
+    _emit(out, _side(0, a, r, b, s))
 
 
 # ---------------------------------------------------------------------------
 # x^a y^r . x^{b1} y^{s1} x^{b2} y^{s2}
 
 
-def _res12_case_i(a, r, b1, s1, b2, s2, out):
-    # t = r1 + r2: the r1 loop (window r1 + 1, then r2 + s1 - 1 zeros) and the
-    # r3 loop (window r3 + 1, then r4 + s2 - 1 zeros) each summed at once
+def _res12_case_i_ii(side, a, r, b1, s1, b2, s2, out):
+    # t = r1 + r2 (i) or r1 (ii): the r1 (i) or l (ii) loop, in the half of
+    # x^a y^t . x^{b1} y^{s1-1} on `side` that the s1-th y closes, and the r3
+    # (i) or r2 (ii) loop, in the splits of the r - t y's left before y^{s2},
+    # each summed at once
     for t in range(1, r + 1):
-        _emit(out, _half(a + b1, a, t, s1 - 1, s1 - 1), _run_tails(b2, r - t, s2))
-
-
-def _res12_case_ii(a, r, b1, s1, b2, s2, out):
-    # the l loop (window l + 1, then r1 + s1 - l - 1 zeros) and the r2 loop
-    # (window r2 + 1, then r3 + s2 - 1 zeros) each summed at once
-    if s1 < 2:
-        return
-    for r1 in range(1, r + 1):
-        _emit(out, _half(a + b1, b1, s1 - 1, r1, r1), _run_tails(b2, r - r1, s2))
+        _emit(out, _side(side, a, t, b1, s1 - 1, 1), _run_tails(b2, r - t, s2))
 
 
 def _res12_case_iii_iv(side, a, r, b1, s1, b2, s2, out):
@@ -199,8 +189,8 @@ def _res12_case_iii_iv(side, a, r, b1, s1, b2, s2, out):
 
 
 _RES12_CASES = {
-    "i": _res12_case_i,
-    "ii": _res12_case_ii,
+    "i": partial(_res12_case_i_ii, 0),
+    "ii": partial(_res12_case_i_ii, 1),
     "iii": partial(_res12_case_iii_iv, 0),
     "iv": partial(_res12_case_iii_iv, 1),
 }
@@ -228,37 +218,21 @@ def expand_res_1_2(a: int, r: int, b1: int, s1: int, b2: int, s2: int) -> LinCom
 def _firsts(a1: int, b1: int, r1: int) -> tuple:
     """For p = 0 .. a1 + b1: the windows of r1 parts of p whose first part
     carries binom(part, a1) (none for p < a1), the front segment of cases
-    (ii)-(iv) when their window is cut at its pinned part r1 + 1."""
+    (i)-(iv) when their window is cut at its pinned part r1 + 1."""
     return tuple(_flat(p, a1, r1) for p in range(a1 + b1 + 1))
 
 
-def _res22_case_i(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    # t = l1 + l2: the l1 loop (window r1 + l1 + 1, then l2 + s1 - 1 zeros)
-    # and the l3 loop (window l3 + 1, then l4 + s2 - 1 zeros) each summed
-    for t in range(1, r2 + 1):
-        # the widest window's multiplicity, _inner_shuffles(0, s1 - 2), is 1
-        mults = [_inner_shuffles(t - l1, s1 - 2) for l1 in range(1, t + 1)]
-        suffix = suffix_sums([0] * (r1 + 2) + mults)
-        # part r1 carries binom(part, a2); filtering by it is faster than
-        # cutting the window there into _firsts and _half (FORMULA_NOTES.md)
-        windows = _lead(a1 + a2 + b1, a1, r1 + t + 1, s1 - 1, suffix)
-        heads = [(w, c * comb(w[r1], a2)) for w, c in windows if w[r1] >= a2]
-        _emit(out, heads, _run_tails(b2, r2 - t, s2))
-
-
-def _res22_case_ii(a1, r1, a2, r2, b1, s1, b2, s2, out):
-    # the k loop (window r1 + k + 1, then l1 + s1 - k - 1 zeros) and the l2
-    # loop (window l2 + 1, then l3 + s2 - 1 zeros) each summed at once; the
-    # first window is cut at its pinned part r1 + 1, after p, the rest the
-    # half of x^{a1+b1-p} y^{s1-1} . x^{a2} y^{l1}, then l1 zeros
-    if s1 < 2:
-        return
+def _res22_case_i_ii(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
+    # t = l1 + l2 (i) or l1 (ii): the l1 (i) or k (ii) loop and the l3 (i) or
+    # l2 (ii) loop, in the splits of the r2 - t y's left before y^{s2}, each
+    # summed at once; the first window is cut at its pinned part r1 + 1, after
+    # p, the rest the half of x^{a2} y^t . x^{a1+b1-p} y^{s1-1} on `side` that
+    # the s1-th y closes
     firsts = _firsts(a1, b1, r1)
-    for l1 in range(1, r2 + 1):
-        tails = _run_tails(b2, r2 - l1, s2)
+    for t in range(1, r2 + 1):
+        tails = _run_tails(b2, r2 - t, s2)
         for p in range(a1, a1 + b1 + 1):
-            seconds = _half(a1 + a2 + b1 - p, a1 + b1 - p, s1 - 1, l1, l1)
-            _emit(out, _join(firsts[p], seconds), tails)
+            _emit(out, _join(firsts[p], _side(side, a2, t, a1 + b1 - p, s1 - 1, 1)), tails)
 
 
 def _res22_case_iii_iv(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
@@ -283,7 +257,7 @@ def _res22_case_v(a1, r1, a2, r2, b1, s1, b2, s2, out):
         return
     thirds = [None] + [_run_tails(b2, r2 - l1, s2) for l1 in range(1, r2 + 1)]
     for k1 in range(1, s1):
-        heads = _half(a1 + b1, a1, r1 - 1, k1, k1)
+        heads = _side(0, a1, r1 - 1, b1, k1, 1)
         for l1 in range(1, r2 + 1):
             _emit(out, heads, _join(_closed(a2, s1 - k1, l1), thirds[l1]))
 
@@ -297,7 +271,7 @@ def _res22_case_vi_vii(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
         return
     tails = [_side(side, a2 - p, r2, b2, s2) for p in range(a2 + 1)]
     for k in range(1, s1):
-        heads = _half(a1 + b1, a1, r1 - 1, k, k)
+        heads = _side(0, a1, r1 - 1, b1, k, 1)
         for p in range(a2 + 1):
             _emit(out, _join(heads, _flat(p, 0, s1 - k)), tails[p])
 
@@ -311,11 +285,10 @@ def _res22_case_viii_ix(side, a1, r1, a2, r2, b1, s1, b2, s2, out):
         return
     ends = [_side(side, a2, r2, b2 - p, s2) for p in range(b2 + 1)]
     for t in range(1, r1):
-        mix = r1 - t  # l3
         tails = []
         for p in range(b2 + 1):
-            tails += _join(_flat(p, 0, mix), ends[p])
-        _emit(out, _half(a1 + b1, a1, t, s1 - 1, s1 - 1), tails)
+            tails += _join(_flat(p, 0, r1 - t), ends[p])
+        _emit(out, _side(0, a1, t, b1, s1 - 1, 1), tails)
 
 
 def _res22_case_x(a1, r1, a2, r2, b1, s1, b2, s2, out):
@@ -328,14 +301,14 @@ def _res22_case_x(a1, r1, a2, r2, b1, s1, b2, s2, out):
         return
     thirds = [None] + [_run_tails(a2, s2 - k1, r2) for k1 in range(1, s2 + 1)]
     for t in range(1, r1):
-        heads = _half(a1 + b1, a1, t, s1 - 1, s1 - 1)
+        heads = _side(0, a1, t, b1, s1 - 1, 1)
         for k1 in range(1, s2 + 1):
             _emit(out, heads, _join(_closed(b2, r1 - t, k1), thirds[k1]))
 
 
 _RES22_CASES = {
-    "i": _res22_case_i,
-    "ii": _res22_case_ii,
+    "i": partial(_res22_case_i_ii, 0),
+    "ii": partial(_res22_case_i_ii, 1),
     "iii": partial(_res22_case_iii_iv, 0),
     "iv": partial(_res22_case_iii_iv, 1),
     "v": _res22_case_v,
@@ -434,10 +407,11 @@ def expand_nfold_depth1(exps: Iterable[int]) -> LinComb:
     compositions alpha of A = a_1 + ... + a_n into n parts the product over
     j < n of binom(alpha_1 + ... + alpha_j - a_sigma(1) - ... -
     a_sigma(j-1), a_sigma(j)): `expand_nfold`'s display with every r_i = 1.
-    It is summed as its own walk over j = 1 .. n, its state the copies left
-    of each exponent and the degree a(S) pinned so far; each pin counts once
-    per copy left, and the last part takes the x's left (FORMULA_NOTES.md,
-    "The depth-1 n-fold display").
+    It is summed as its own walk over j = 1 .. n - 1, its state the copies
+    left of each exponent and the degree a(S) pinned so far; each pin counts
+    once per copy left, and pin n - 1 adds its words with the last part, the
+    x's left, straight to the output (FORMULA_NOTES.md, "The depth-1 n-fold
+    display").
     """
     exps = list(exps)
     if not exps:
@@ -448,9 +422,12 @@ def expand_nfold_depth1(exps: Iterable[int]) -> LinComb:
         _check_run(a, 1)
     kinds = sorted(set(exps))
     big_a = sum(exps)
+    last = len(exps) - 1
+    out: dict = {} if last else {(big_a,): 1}
     # a node is the parts placed and their sum, merged as in expand_nfold
     states = {(tuple(exps.count(a) for a in kinds), 0): {((), 0): 1}}
-    for _ in range(len(exps) - 1):
+    for j in range(1, last + 1):
+        close = j == last
         nxt: dict = {}
         for (left, deg_a), paths in states.items():
             for k, a in enumerate(kinds):
@@ -458,17 +435,13 @@ def expand_nfold_depth1(exps: Iterable[int]) -> LinComb:
                 if not copies:
                     continue
                 low = deg_a + a
-                dest = nxt.setdefault((left[:k] + (copies - 1,) + left[k + 1 :], low), {})
+                rest = (left[:k] + (copies - 1,) + left[k + 1 :], low)
+                dest = out if close else nxt.setdefault(rest, {})
                 for (w, used), coeff in paths.items():
                     coeff *= copies
                     for x in range(low - used if low > used else 0, big_a - used + 1):
-                        key = (w + (x,), used + x)
+                        key = w + (x, big_a - used - x) if close else (w + (x,), used + x)
                         term = coeff * comb(used + x - deg_a, a) if a else coeff
                         dest[key] = dest.get(key, 0) + term
         states = nxt
-    out: dict = {}
-    for paths in states.values():
-        for (w, used), coeff in paths.items():
-            key = w + (big_a - used,)
-            out[key] = out.get(key, 0) + coeff
     return LinComb.from_exponents(out)

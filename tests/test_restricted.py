@@ -9,7 +9,7 @@ from mzvshuffle.equivalence import expand_lgm_1_1, expand_lgm_1_2
 from mzvshuffle.lincomb import LinComb
 from mzvshuffle.restricted import (
     MAX_NFOLD,
-    _half,
+    _side,
     expand_nfold,
     expand_nfold_depth1,
     expand_res_1_1,
@@ -67,7 +67,8 @@ def test_res_1_1_oracle_grid():
 
 def test_half_is_the_interleavings_led_by_the_first_run():
     # the one window the restricted cases share, checked on its own: the
-    # words of x^a y^r . x^b y^s whose first y comes from y^r
+    # words of x^a y^r . x^b y^s whose first y comes from y^r, which are side
+    # 0 of that product and side 1 of x^b y^s . x^a y^r
     def label(ypos_u, ypos_v):
         return "half" if ypos_u[0] < ypos_v[0] else "other"
 
@@ -75,8 +76,9 @@ def test_half_is_the_interleavings_led_by_the_first_run():
     assert len(points) == 330
     for a, r, b, s in points:
         buckets = _pattern_buckets("x" * a + "y" * r, "x" * b + "y" * s, label)
-        got = LinComb.from_exponents(dict(_half(a + b, a, r, s, s - 1)))
-        assert got == buckets.get("half", LinComb()), (a, r, b, s)
+        want = buckets.get("half", LinComb())
+        for got in (_side(0, a, r, b, s), _side(1, b, s, a, r)):
+            assert LinComb.from_exponents(dict(got)) == want, (a, r, b, s)
 
 
 def test_half_at_s_0_is_the_first_run_shuffled_with_xs():
@@ -88,7 +90,7 @@ def test_half_at_s_0_is_the_first_run_shuffled_with_xs():
     for a, r, b in points:
         shuffled = shuffle_recursive(run_word(a, r), Word("x" * b))
         want = LinComb({Word(w.text + "y"): c for w, c in shuffled.items()})
-        assert LinComb.from_exponents(dict(_half(a + b, a, r, 0, 0))) == want, (a, r, b)
+        assert LinComb.from_exponents(dict(_side(0, a, r, b, 0, 1))) == want, (a, r, b)
 
 
 def test_res_1_1_argument_swap():
@@ -406,22 +408,27 @@ def test_nfold_cap_and_validation():
 
 
 def test_window_caches_change_no_result(monkeypatch):
-    # every window builder of `restricted` and `equivalence` is cached for the
-    # life of the process and hands one value to every caller, so each value
-    # must be a tuple, and no expansion may depend on which windows an earlier
-    # point left in the caches: the outputs hash the same from cleared caches
-    # at each point, from warm caches and from warm caches in reverse
-    builders = [(restricted, name) for name in
-                ("_half", "_run_tails", "_closed", "_flat", "_firsts")]
-    builders += [(equivalence, "_runs"), (equivalence, "_marked_runs")]
+    # every window builder of `restricted` and `equivalence` (each function
+    # defined there with a cache) is cached for the life of the process and
+    # hands one value to every caller, so each value must be a tuple of
+    # tuples, and no expansion may depend on which windows an earlier point
+    # left in the caches: the outputs hash the same from cleared caches at
+    # each point, from warm caches and from warm caches in reverse
+    builders = [
+        (module, name)
+        for module in (restricted, equivalence)
+        for name, value in sorted(vars(module).items())
+        if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+    ]
+    assert {module for module, _ in builders} == {restricted, equivalence}
     cached = [getattr(module, name) for module, name in builders]
     returned = set()
 
     def recording(builder):
         def wrapper(*args):
             value = builder(*args)
-            inner = value if builder.__name__ == "_firsts" else ()
-            returned.add((builder.__name__, all(isinstance(v, tuple) for v in (value, *inner))))
+            frozen = isinstance(value, tuple) and all(isinstance(v, tuple) for v in value)
+            returned.add((builder.__name__, frozen))
             return value
 
         return wrapper
