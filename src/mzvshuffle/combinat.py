@@ -38,6 +38,8 @@ def weak_compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 def compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """All tuples of `parts` positive integers summing to `total`, in
     lexicographic order."""
+    if total < 0 or parts < 0:
+        raise ValueError("total and parts must be nonnegative")
     if total < parts:
         return ()
     return tuple(tuple(w + 1 for w in weak) for weak in weak_compositions(total - parts, parts))

@@ -10,10 +10,9 @@ their sums over the splits (l, K - l) of a y-run, a window of l parts
 followed by zeros up to a fixed width, are taken in another order: each
 composition of the widest window is added once, weighted by the suffix sum
 of the multiplicities of the splits it fits (docs/FORMULA_NOTES.md,
-"Zero-padded tails summed once").  `expand_nfold` sums its display as one
-walk over the output positions, its state the set of factors pinned so far
-(docs/FORMULA_NOTES.md, "The n-fold display summed in another order"), and
-`expand_nfold_depth1` its depth-1 display by a walk of its own.
+"Zero-padded tails summed once").  `expand_nfold` and `expand_nfold_depth1`
+each sum their display as a walk from the last output position back to the
+first (docs/FORMULA_NOTES.md, "The n-fold display summed in another order").
 """
 
 from __future__ import annotations
@@ -340,62 +339,61 @@ def expand_res_2_2(
 # n-fold products x^{a1} y^{r1} . x^{a2} y^{r2} . ... . x^{an} y^{rn}
 
 
-def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
-    """Closed form of the n-fold product of single-run words.
-
-    The display sums over positive compositions l of the total y-count R,
-    the n! orderings of the factors and the weak compositions alpha of the
-    total x-count A.  The factor f it pins at position q = l_1 + ... +
-    l_{j-1} + 1 reads only the set S pinned before it, through its degrees
-    a(S) and r(S): binom(r(S) + r_f - q, r_f - 1) for y and binom(alpha_1 +
-    ... + alpha_q - a(S), a_f) for x.  So the sum is taken as one walk over
-    q = 1 .. R whose state is S (FORMULA_NOTES.md, "The n-fold display
-    summed in another order"); equal factors are pinned in turn, each pin
-    counting once per copy left.
-    """
-    pairs = [(a, r) for a, r in pairs]
+def _nfold_kinds(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Check the factors of an n-fold product; return their kinds, sorted."""
     if not pairs:
         raise ValueError("need at least one factor")
     if len(pairs) > MAX_NFOLD:
         raise ValueError(f"n-fold expansion is capped at n = {MAX_NFOLD}, got {len(pairs)}")
     for a, r in pairs:
         _check_run(a, r)
-    kinds = sorted(set(pairs))
+    return sorted(set(pairs))
+
+
+def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
+    """Closed form of the n-fold product of single-run words.
+
+    Its display (FORMULA_NOTES.md, "The n-fold display summed in another
+    order") pins factor f at q = l_1 + ... + l_{j-1} + 1 with the weights
+    binom(R - q - r(T), r_f - 1) and binom(a(T) + a_f - u, a_f), which read
+    only the set T pinned after q and the sum u of the parts after q.  So it
+    is summed as one walk over q = R .. 1 whose state is T; equal factors
+    are pinned in turn, each pin counting once per copy left.
+    """
+    pairs = [(a, r) for a, r in pairs]
+    kinds = _nfold_kinds(pairs)
     big_a = sum(a for a, _ in pairs)
     big_r = sum(r for _, r in pairs)
     out: dict = {}
-    # a state is the copies left of each kind with a(S) and r(S); a node is
-    # the parts placed and their sum, merged as in combinat.binomial_walk
-    states = {(tuple(pairs.count(kind) for kind in kinds), 0, 0): {((), 0): 1}}
-    for q in range(1, big_r + 1):
+    # a state is the copies left of each kind, their number n, a(T) and r(T);
+    # a node is the parts placed and their sum u, merged as in combinat.binomial_walk
+    states = {(tuple(pairs.count(kind) for kind in kinds), len(pairs), 0, 0): {((), 0): 1}}
+    for q in range(big_r, 0, -1):
         nxt: dict = {}
         for state, paths in states.items():
-            left, deg_a, deg_r = state
-            # every state here has q <= r(S) + 1, so each pin is nonzero; a
-            # free part, allowed while q <= r(S), is a pin of weight 1 on any x
-            moves = [(state, 0, 1)] if q <= deg_r else []
-            for k, (a, r) in enumerate(kinds):
-                copies = left[k]
-                if not copies:
-                    continue
-                ycoef = copies * comb(deg_r + r - q, r - 1)
-                if deg_r + r == big_r:
-                    tail = (0,) * (big_r - q)
-                    for (w, used), coeff in paths.items():
-                        exps = w + (big_a - used,) + tail
-                        out[exps] = out.get(exps, 0) + ycoef * coeff
-                else:
-                    rest = left[:k] + (copies - 1,) + left[k + 1 :]
-                    moves.append(((rest, deg_a + a, deg_r + r), a, ycoef))
+            left, n, deg_a, deg_r = state
+            # n <= q: the y at q belongs to a factor pinned further left while
+            # n < q, or pins f; alpha_q runs to a(T + f) - u, past which the
+            # next pin to the left has a zero x-binomial, and at q = 1 is A - u
+            moves = [(state, 0, 1)] if n < q else []
+            room = big_r - q - deg_r
+            for k, ((a, r), copies) in enumerate(zip(kinds, left)):
+                if copies and room >= r - 1:
+                    rest = (left[:k] + (copies - 1,) + left[k + 1 :], n - 1, deg_a + a, deg_r + r)
+                    moves.append((rest, a, copies * comb(room, r - 1)))
             for new, a, ycoef in moves:
+                if q == 1:
+                    for (w, used), coeff in paths.items():
+                        word = (big_a - used,) + w
+                        out[word] = out.get(word, 0) + coeff * ycoef * comb(big_a - used, a)
+                    continue
                 dest = nxt.setdefault(new, {})
-                low = deg_a + a
                 for (w, used), coeff in paths.items():
-                    coeff *= ycoef
-                    for x in range(low - used if low > used else 0, big_a - used + 1):
-                        key = (w + (x,), used + x)
-                        term = coeff * comb(used + x - deg_a, a) if a else coeff
-                        dest[key] = dest.get(key, 0) + term
+                    span = new[2] - used
+                    coeff *= ycoef * comb(span, a)
+                    for x in range(span + 1):
+                        key = ((x,) + w, used + x)
+                        dest[key] = dest.get(key, 0) + coeff
         states = nxt
     return LinComb.from_exponents(out)
 
@@ -403,45 +401,35 @@ def expand_nfold(pairs: Iterable[tuple[int, int]]) -> LinComb:
 def expand_nfold_depth1(exps: Iterable[int]) -> LinComb:
     """Closed form of the n-fold product of the words x^{a_i} y.
 
-    The display sums over the orderings sigma of the factors and the weak
-    compositions alpha of A = a_1 + ... + a_n into n parts the product over
-    j < n of binom(alpha_1 + ... + alpha_j - a_sigma(1) - ... -
-    a_sigma(j-1), a_sigma(j)): `expand_nfold`'s display with every r_i = 1.
-    It is summed as its own walk over j = 1 .. n - 1, its state the copies
-    left of each exponent and the degree a(S) pinned so far; each pin counts
-    once per copy left, and pin n - 1 adds its words with the last part, the
-    x's left, straight to the output (FORMULA_NOTES.md, "The depth-1 n-fold
-    display").
+    Its display is `expand_nfold`'s with every r_i = 1 (FORMULA_NOTES.md,
+    "The depth-1 n-fold display"), summed by a walk of its own over j = n ..
+    1: a state is the copies left and the degree a(T) pinned after j, and
+    the pin of a_f at j weighs copies * binom(a(T) + a_f - u, a_f) for the
+    sum u of the parts after j.
     """
     exps = list(exps)
-    if not exps:
-        raise ValueError("need at least one factor")
-    if len(exps) > MAX_NFOLD:
-        raise ValueError(f"n-fold expansion is capped at n = {MAX_NFOLD}, got {len(exps)}")
-    for a in exps:
-        _check_run(a, 1)
-    kinds = sorted(set(exps))
+    kinds = [a for a, _ in _nfold_kinds([(a, 1) for a in exps])]
     big_a = sum(exps)
-    last = len(exps) - 1
-    out: dict = {} if last else {(big_a,): 1}
+    out: dict = {}
     # a node is the parts placed and their sum, merged as in expand_nfold
     states = {(tuple(exps.count(a) for a in kinds), 0): {((), 0): 1}}
-    for j in range(1, last + 1):
-        close = j == last
+    for j in range(len(exps), 0, -1):
         nxt: dict = {}
         for (left, deg_a), paths in states.items():
-            for k, a in enumerate(kinds):
-                copies = left[k]
+            for k, (a, copies) in enumerate(zip(kinds, left)):
                 if not copies:
                     continue
-                low = deg_a + a
-                rest = (left[:k] + (copies - 1,) + left[k + 1 :], low)
-                dest = out if close else nxt.setdefault(rest, {})
+                if j == 1:
+                    for (w, used), coeff in paths.items():
+                        word = (big_a - used,) + w
+                        out[word] = out.get(word, 0) + coeff * comb(big_a - used, a)
+                    continue
+                dest = nxt.setdefault((left[:k] + (copies - 1,) + left[k + 1 :], deg_a + a), {})
                 for (w, used), coeff in paths.items():
-                    coeff *= copies
-                    for x in range(low - used if low > used else 0, big_a - used + 1):
-                        key = w + (x, big_a - used - x) if close else (w + (x,), used + x)
-                        term = coeff * comb(used + x - deg_a, a) if a else coeff
-                        dest[key] = dest.get(key, 0) + term
+                    span = deg_a + a - used
+                    coeff *= copies * comb(span, a)
+                    for x in range(span + 1):
+                        key = ((x,) + w, used + x)
+                        dest[key] = dest.get(key, 0) + coeff
         states = nxt
     return LinComb.from_exponents(out)

@@ -1,6 +1,8 @@
 import itertools
 import math
 
+import pytest
+
 from mzvshuffle.combinat import (
     binom,
     binomial_walk,
@@ -55,6 +57,9 @@ def test_weak_compositions():
         assert len(combos) == math.comb(total + parts - 1, parts - 1)
         assert len(set(combos)) == len(combos)
         assert all(sum(c) == total and len(c) == parts and min(c) >= 0 for c in combos)
+    for total, parts in [(-1, 0), (-3, -1), (2, -1), (-1, 2)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            weak_compositions(total, parts)
 
 
 def test_compositions():
@@ -64,6 +69,11 @@ def test_compositions():
     combos = list(compositions(6, 3))
     assert len(combos) == math.comb(5, 2)
     assert all(min(c) >= 1 and sum(c) == 6 for c in combos)
+    # a negative argument is refused, as by weak_compositions, not read as
+    # a total below the number of parts
+    for total, parts in [(-1, 0), (-3, -1), (2, -1), (-1, 2)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            compositions(total, parts)
 
 
 def test_compositions_in_lexicographic_order_against_brute_force():

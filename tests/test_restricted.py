@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import itertools
 
 import pytest
@@ -304,7 +306,21 @@ def test_res_2_2_oracle_grid():
 
 
 def test_nfold_single_factor():
-    assert expand_nfold([(2, 3)]) == LinComb.term(Word("xxyyy"))
+    # one factor reaches q = 1 only through positions its own later y's hold
+    for a in range(4):
+        for r in range(1, 5):
+            assert expand_nfold([(a, r)]) == LinComb.term(run_word(a, r)), (a, r)
+    for a in range(5):
+        assert expand_nfold_depth1([a]) == LinComb.term(run_word(a, 1)), a
+
+
+def test_nfold_depth1_is_its_own_walk():
+    # the nfold sweep checks expand_nfold and expand_nfold_depth1 each against
+    # the oracle, which proves nothing of the second if it calls the first
+    tree = ast.parse(inspect.getsource(expand_nfold_depth1))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "expand_nfold" not in names
 
 
 def test_nfold_two_equals_res_1_1():
