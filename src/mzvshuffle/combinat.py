@@ -137,9 +137,4 @@ def suffix_sums(seq) -> list[int]:
 
 def prefix_sums(seq) -> tuple[int, ...]:
     """(0, s1, s1+s2, ...): prefix_sums(seq)[i] is the sum of the first i items."""
-    out = [0]
-    acc = 0
-    for value in seq:
-        acc += value
-        out.append(acc)
-    return tuple(out)
+    return tuple(itertools.accumulate(seq, initial=0))

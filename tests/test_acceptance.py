@@ -75,9 +75,8 @@ def test_specialization_suite():
     _report("specializations<=9", _suite_ok(report, 120), _suite_detail([report]))
 
 
-def test_specialization_suite_bound_11(monkeypatch):
-    # 3,830 points past the weight cap of 10; about 1 s on a 2-core x86 box
-    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "11")
+def test_specialization_suite_bound_11():
+    # 3,830 points past the registered bound of 9; about 1 s on a 2-core x86 box
     report = verify.run_suite("specializations", 11)
     ok = _suite_ok(report, 30) and report.checked == 3830
     _report("specializations<=11", ok, _suite_detail([report]))
@@ -91,9 +90,8 @@ def test_restricted_suite():
     _report("restricted<=10", ok, _suite_detail(reports))
 
 
-def test_res22_suite_bound_11(monkeypatch):
-    # 6,435 points past the weight cap of 10; about 2.5 s on a 2-core x86 box
-    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "11")
+def test_res22_suite_bound_11():
+    # 6,435 points past the registered bound of 10; about 2.5 s on a 2-core x86 box
     report = verify.run_suite("res22", 11)
     ok = _suite_ok(report, 60) and report.checked == 6435
     _report("res22<=11", ok, _suite_detail([report]))
@@ -145,9 +143,8 @@ def test_appendix_equivalences():
     _report("appendix-equivalences<=10", ok, _suite_detail(reports))
 
 
-def test_appendix_b_suite_bound_12(monkeypatch):
-    # 924 points past the weight cap of 10; about 0.3 s on a 2-core x86 box
-    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "12")
+def test_appendix_b_suite_bound_12():
+    # 924 points at verify.MAX_WEIGHT; about 0.3 s on a 2-core x86 box
     report = verify.run_suite("appendixB", 12)
     ok = _suite_ok(report, 30) and report.checked == 924
     _report("appendixB<=12", ok, _suite_detail([report]))

@@ -90,6 +90,9 @@ def test_compositions_in_lexicographic_order_against_brute_force():
 def test_prefix_sums():
     assert prefix_sums((3, 1, 2)) == (0, 3, 4, 6)
     assert prefix_sums(()) == (0,)
+    assert prefix_sums((2, 0, 3)) == (0, 2, 2, 5)
+    for seq in ((), (4,), (2, 0, 3), (1, 5, 0, 2, 7)):
+        assert list(prefix_sums(seq)) == suffix_sums(seq[::-1])[::-1]
 
 
 def test_suffix_sums():

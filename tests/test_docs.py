@@ -1,8 +1,10 @@
-"""The documentation's cross-references resolve."""
+"""The documentation's cross-references, tables and examples match the code."""
 
 import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,3 +51,33 @@ def test_formula_notes_headings_name_code_that_exists():
 
     assert len(named) >= 6
     assert [name for name in named if not exists(name)] == []
+
+
+def test_readme_sweep_table_matches_the_registry():
+    from mzvshuffle import verify
+
+    readme = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| (`[^|]*) \|[^|]*\| (\d+) \|$", readme, re.MULTILINE)
+    listed = {name: int(bound) for names, bound in rows for name in re.findall(r"`([^`]+)`", names)}
+    assert listed == {name: sweep.default_bound for name, sweep in verify.SWEEPS.items()}
+
+
+def test_readme_environment_variables_are_read():
+    documented = set(re.findall(r"`([A-Z_]{4,})`\s+environment", _flat((ROOT / "README.md").read_text())))
+    read = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text()
+        if "os.environ" in text or "getenv" in text:
+            read |= set(re.findall(r"""["']([A-Z_]{4,})["']""", text))
+    assert documented <= read
+
+
+@pytest.mark.parametrize("command", ["mzvshuffle shuffle xy xy --format latex", "mzvshuffle zeta 3,1"])
+def test_readme_cli_comments_show_the_output(capsys, command):
+    from mzvshuffle.cli import main
+
+    readme = (ROOT / "README.md").read_text()
+    shown = re.search(rf"^{re.escape(command)} +# (.*)$", readme, re.MULTILINE)
+    assert shown is not None
+    assert main(command.split()[1:]) == 0
+    assert capsys.readouterr().out == shown.group(1) + "\n"

@@ -91,9 +91,8 @@ def test_lgm_1_2_per_sum_accessor():
         lgm_1_2_sum(5, *point)
 
 
-def test_check_equivalence_pair_a(monkeypatch):
+def test_check_equivalence_pair_a():
     # the grid at 12 contains the whole [1,3]^4 box
-    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "12")
     report = verify.run_suite("appendixA", 12)
     assert report.suite == "appendixA"
     assert report.checked == 495  # binom(12, 4) positive 4-tuples with sum <= 12

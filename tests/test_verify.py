@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -37,21 +38,14 @@ def test_checked_at_bound_6(name):
 
 
 def test_weight_cap(monkeypatch):
-    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "5")
-    assert verify.weight_cap() == 5
-    with pytest.raises(ValueError):
-        verify.run_suite("res11", 8)
-    report = verify.run_suite("res11", 5)
-    assert report.ok
-    monkeypatch.delenv(verify.ENV_WEIGHT_CAP)
-    assert verify.weight_cap() == verify.DEFAULT_WEIGHT_CAP
+    # refused before the grid is built: the bound-13 grids reach 267,424 points
+    def no_grid(bound):
+        raise AssertionError("grid built past the cap")
 
-
-@pytest.mark.parametrize("raw", ["-4", "0", "abc"])
-def test_weight_cap_rejects_bad_env(monkeypatch, raw):
-    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, raw)
-    with pytest.raises(ValueError, match=verify.ENV_WEIGHT_CAP):
-        verify.run_suite("res11")
+    for name, sweep in list(verify.SWEEPS.items()):
+        monkeypatch.setitem(verify.SWEEPS, name, dataclasses.replace(sweep, grid=no_grid))
+        with pytest.raises(ValueError, match=r"^max weight 13 exceeds the cap 12$"):
+            verify.run_suite(name, 13)
 
 
 @pytest.mark.parametrize("bound", [0, -3])
@@ -60,18 +54,35 @@ def test_bound_below_one_rejected(bound):
         verify.run_suite("res22", bound)
 
 
-def test_default_bound_capped_by_env(monkeypatch):
-    monkeypatch.setenv(verify.ENV_WEIGHT_CAP, "5")
-    report = verify.run_suite("res12")  # default bound 10 shrinks to the cap
-    assert "<= 5" in report.grid
+def test_environment_sets_no_cap(monkeypatch):
+    monkeypatch.setenv("MZV_MAX_WEIGHT", "5")
+    report = verify.run_suite("res11")
+    assert report.checked == 495
+    assert report.grid.endswith("<= 10")
     assert report.ok
 
 
-@pytest.mark.parametrize("name, bound", [("res11", 7), ("appendixB", 9)], ids=["res11", "appendixB"])
-def test_jobs_match_sequential(name, bound):
-    seq = verify.run_suite(name, bound, jobs=1)
-    par = verify.run_suite(name, bound, jobs=2)
-    assert seq.checked == par.checked > 64  # enough points for the pool
+# the smallest bound at which each grid passes the pool's 64 points
+POOL_BOUND = {
+    "general": 6,
+    "res11": 6,
+    "res12": 6,
+    "res22": 7,
+    "nfold": 6,
+    "appendixA": 8,
+    "appendixB": 9,
+    "specializations": 6,
+    "shuffle-properties": 4,
+    "associativity": 4,
+}
+
+
+@pytest.mark.parametrize("name", list(verify.SWEEPS))
+def test_jobs_match_sequential(name):
+    # the pool pickles each sweep's check, so this fails for one that cannot be
+    seq = verify.run_suite(name, POOL_BOUND[name], jobs=1)
+    par = verify.run_suite(name, POOL_BOUND[name], jobs=2)
+    assert seq.checked == par.checked > 64
     assert seq.failures == par.failures == []
 
 
@@ -108,6 +119,8 @@ def test_report_json_obj():
     assert obj["checked"] == report.checked
     assert obj["failures"] == []
     assert obj["elapsed_ms"] >= 0
+    obj["failures"].append("changed")  # a copy: the report keeps its own list
+    assert report.failures == []
 
 
 def test_h1_exponent_forms_count():
